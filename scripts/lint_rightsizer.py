@@ -26,6 +26,15 @@ shipped or explicitly guards against:
                             — a silent O(m) virtual-call regression on every
                             dense row build.  Intentional fallbacks carry
                             `rs-lint: eval-row-ok`.
+  RS005 node-container-in-kernel
+                            A node-based standard container (std::map, set,
+                            multimap, multiset, list, forward_list,
+                            unordered_*) in the allocation-free PWL kernels
+                            (src/core/convex_pwl.*, src/online/lcp_window.*):
+                            every insert is a heap node, and the per-slot
+                            path there must not allocate (test_alloc_free).
+                            Deliberate uses carry
+                            `rs-lint: node-container-ok (<why>)`.
 
 Suppressions are read from raw source text (comments included): a file
 marker applies anywhere in the file; line annotations apply on the flagged
@@ -50,6 +59,7 @@ OK_MINMAX = "rs-lint: minmax-ok"
 OK_FLOAT_EQ = "rs-lint: float-eq-ok"
 OK_CATCH_ALL = "rs-lint: catch-all-ok"
 OK_EVAL_ROW = "rs-lint: eval-row-ok"
+OK_NODE_CONTAINER = "rs-lint: node-container-ok"
 
 # How many lines above a flagged line an annotation still applies.
 ANNOTATION_REACH = 2
@@ -129,6 +139,12 @@ FLOAT_EQ = re.compile(
     rf"(?:[=!]=\s*{FLOAT_LITERAL})|(?:{FLOAT_LITERAL}\s*[=!]=)"
 )
 CATCH_ALL = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
+NODE_CONTAINER = re.compile(
+    r"\bstd::(?:map|set|multimap|multiset|list|forward_list|unordered_\w+)"
+    r"\s*<")
+# The per-slot kernels that must stay free of node containers (RS005).
+ALLOC_FREE_KERNELS = re.compile(
+    r"(?:^|/)src/(?:core/convex_pwl|online/lcp_window)\.(?:cpp|hpp)$")
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -203,8 +219,24 @@ def check_eval_row(path: str, raw: list[str], code: list[str],
                 f"loop. Override it, or annotate '{OK_EVAL_ROW}'"))
 
 
+def check_node_containers(path: str, raw: list[str], code: list[str],
+                          findings: list[Finding]) -> None:
+    if not ALLOC_FREE_KERNELS.search(path):
+        return
+    for i, line in enumerate(code):
+        match = NODE_CONTAINER.search(line)
+        if not match or annotated(raw, i, OK_NODE_CONTAINER):
+            continue
+        findings.append(Finding(
+            path, i + 1, "RS005",
+            f"node container '{match.group(0).rstrip('<').strip()}' in an "
+            "allocation-free PWL kernel: every insert is a heap node. Use "
+            "flat storage, or annotate "
+            f"'{OK_NODE_CONTAINER} (<why>)'"))
+
+
 CHECKS = (check_minmax_folds, check_float_eq, check_catch_all,
-          check_eval_row)
+          check_eval_row, check_node_containers)
 
 
 def lint_text(path: str, text: str) -> list[Finding]:
@@ -309,13 +341,34 @@ SELF_TESTS = (
      "  void eval_row(int m, std::span<double> out) const override;\n"
      "};\n",
      "RS004", False),
+    ("RS005 fires on a seeded map member in the PWL kernel",
+     "class ConvexPwl {\n"
+     "  std::map<int, double> dslope_;\n"
+     "};\n",
+     "RS005", True, "src/core/convex_pwl.hpp"),
+    ("RS005 fires on an unordered container in the windowed kernel",
+     "std::unordered_map<const void*, int> memo;\n",
+     "RS005", True, "src/online/lcp_window.cpp"),
+    ("RS005 quiet on the flat vector",
+     "class ConvexPwl {\n"
+     "  std::vector<std::pair<int, double>> dslope_;\n"
+     "};\n",
+     "RS005", False, "src/core/convex_pwl.hpp"),
+    ("RS005 quiet outside the kernels",
+     "std::map<int, double> entries_;\n",
+     "RS005", False, "src/fleet/form_cache.hpp"),
+    ("RS005 honors a line annotation",
+     "// rs-lint: node-container-ok (built once, off the per-slot path)\n"
+     "std::set<int> seen;\n",
+     "RS005", False, "src/core/convex_pwl.cpp"),
 )
 
 
 def run_self_test() -> int:
     failures = 0
-    for name, snippet, rule, should_fire in SELF_TESTS:
-        hits = [f for f in lint_text("<self-test>", snippet)
+    for name, snippet, rule, should_fire, *path in SELF_TESTS:
+        hits = [f for f in lint_text(path[0] if path else "<self-test>",
+                                     snippet)
                 if f.rule == rule]
         ok = bool(hits) == should_fire
         print(f"{'PASS' if ok else 'FAIL'}: {name}")

@@ -46,6 +46,20 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
+void set_u32(std::vector<std::uint8_t>& out, std::size_t pos,
+             std::uint32_t v) {
+  out[pos] = static_cast<std::uint8_t>(v);
+  out[pos + 1] = static_cast<std::uint8_t>(v >> 8);
+  out[pos + 2] = static_cast<std::uint8_t>(v >> 16);
+  out[pos + 3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+void set_u64(std::vector<std::uint8_t>& out, std::size_t pos,
+             std::uint64_t v) {
+  set_u32(out, pos, static_cast<std::uint32_t>(v));
+  set_u32(out, pos + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t pos) {
   return static_cast<std::uint32_t>(in[pos]) |
          (static_cast<std::uint32_t>(in[pos + 1]) << 8) |
@@ -69,39 +83,83 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void CheckpointWriter::u8(std::uint8_t v) { payload_.push_back(v); }
+namespace {
 
-void CheckpointWriter::u32(std::uint32_t v) { put_u32(payload_, v); }
+// Fills the envelope header at `at` for the payload running from the end of
+// that header to the end of the buffer.
+void seal_header(std::vector<std::uint8_t>& buffer, std::size_t at,
+                 std::uint32_t kind) {
+  const std::size_t payload = at + kHeaderSize;
+  set_u32(buffer, at, kMagic);
+  set_u32(buffer, at + 4, kCheckpointVersion);
+  set_u32(buffer, at + 8, kind);
+  set_u64(buffer, at + 12, buffer.size() - payload);
+  set_u32(buffer, at + 20,
+          crc32(std::span<const std::uint8_t>(buffer).subspan(payload)));
+}
 
-void CheckpointWriter::u64(std::uint64_t v) { put_u64(payload_, v); }
+}  // namespace
+
+CheckpointWriter::CheckpointWriter() {
+  // Covers the header plus the fixed fields of every session layer; the
+  // tracker reserves its exact remainder before writing its forms.
+  constexpr std::size_t kInitialCapacity = 256;
+  buffer_.reserve(kInitialCapacity);
+  buffer_.resize(kHeaderSize);
+}
+
+void CheckpointWriter::u8(std::uint8_t v) { buffer_.push_back(v); }
+
+void CheckpointWriter::u32(std::uint32_t v) { put_u32(buffer_, v); }
+
+void CheckpointWriter::u64(std::uint64_t v) { put_u64(buffer_, v); }
 
 void CheckpointWriter::i32(std::int32_t v) {
-  put_u32(payload_, static_cast<std::uint32_t>(v));
+  put_u32(buffer_, static_cast<std::uint32_t>(v));
 }
 
 void CheckpointWriter::i64(std::int64_t v) {
-  put_u64(payload_, static_cast<std::uint64_t>(v));
+  put_u64(buffer_, static_cast<std::uint64_t>(v));
 }
 
 void CheckpointWriter::f64(double v) {
-  put_u64(payload_, std::bit_cast<std::uint64_t>(v));
+  put_u64(buffer_, std::bit_cast<std::uint64_t>(v));
 }
 
 void CheckpointWriter::bytes(std::span<const std::uint8_t> data) {
-  payload_.insert(payload_.end(), data.begin(), data.end());
+  buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
-std::vector<std::uint8_t> CheckpointWriter::seal(std::uint32_t kind) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload_.size());
-  put_u32(out, kMagic);
-  put_u32(out, kCheckpointVersion);
-  put_u32(out, kind);
-  put_u64(out, static_cast<std::uint64_t>(payload_.size()));
-  put_u32(out, crc32(payload_));
-  out.insert(out.end(), payload_.begin(), payload_.end());
-  RS_AUDIT(audit_envelope(out, kind, "CheckpointWriter::seal"));
-  return out;
+void CheckpointWriter::reserve(std::size_t n) {
+  buffer_.reserve(buffer_.size() + n);
+}
+
+std::size_t CheckpointWriter::begin_nested(std::uint32_t kind) {
+  const std::size_t mark = buffer_.size();
+  // Length prefix + nested header; end_nested fills in all but the kind.
+  buffer_.resize(mark + 8 + kHeaderSize);
+  set_u32(buffer_, mark + 8 + 8, kind);
+  return mark;
+}
+
+void CheckpointWriter::end_nested(std::size_t mark) {
+  const std::size_t header = mark + 8;
+  const std::uint32_t kind = get_u32(buffer_, header + 8);
+  seal_header(buffer_, header, kind);
+  set_u64(buffer_, mark, buffer_.size() - header);
+  RS_AUDIT(audit_envelope(
+      std::span<const std::uint8_t>(buffer_).subspan(header), kind,
+      "CheckpointWriter::end_nested"));
+}
+
+std::vector<std::uint8_t> CheckpointWriter::seal(std::uint32_t kind) const& {
+  return CheckpointWriter(*this).seal(kind);
+}
+
+std::vector<std::uint8_t> CheckpointWriter::seal(std::uint32_t kind) && {
+  seal_header(buffer_, 0, kind);
+  RS_AUDIT(audit_envelope(buffer_, kind, "CheckpointWriter::seal"));
+  return std::move(buffer_);
 }
 
 void audit_envelope(std::span<const std::uint8_t> bytes, std::uint32_t kind,

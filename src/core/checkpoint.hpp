@@ -75,9 +75,16 @@ inline constexpr std::uint32_t kTenantCheckpointKind = 0x04;
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Accumulates a payload (little-endian scalars; doubles as IEEE-754 bit
-/// patterns) and seals it into an enveloped checkpoint.
+/// patterns) and seals it into an enveloped checkpoint.  The payload is
+/// written behind a reserved header, so sealing an rvalue writer patches
+/// the header in place and hands the buffer over without a copy, and a
+/// nested checkpoint (begin_nested/end_nested) is written straight into
+/// the outer payload: a session snapshot is one buffer, not one per layer.
 class CheckpointWriter {
  public:
+  /// Starts with room for the header and a small payload (one allocation).
+  CheckpointWriter();
+
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -86,13 +93,25 @@ class CheckpointWriter {
   void f64(double v);  // bit-exact, including infinities
   void bytes(std::span<const std::uint8_t> data);
 
-  /// The enveloped checkpoint: header(kind, size, crc) + payload.  The
-  /// writer may keep accumulating afterwards; seal() snapshots the current
-  /// payload.
-  std::vector<std::uint8_t> seal(std::uint32_t kind) const;
+  /// Ensures room for `n` more payload bytes without further allocation.
+  void reserve(std::size_t n);
+
+  /// Opens a checkpoint of `kind` nested in this payload; fields written
+  /// until end_nested(mark) form its payload.  The bytes equal
+  /// u64(nested.size()) followed by bytes(nested) for a separately sealed
+  /// `nested` — the layout every session embeds its tracker with — and
+  /// nesting may recurse.  Returns the mark end_nested needs.
+  std::size_t begin_nested(std::uint32_t kind);
+  void end_nested(std::size_t mark);
+
+  /// The enveloped checkpoint: header(kind, size, crc) + payload.  On an
+  /// lvalue writer it copies, and the writer may keep accumulating; on an
+  /// rvalue writer it moves the buffer out.
+  std::vector<std::uint8_t> seal(std::uint32_t kind) const&;
+  std::vector<std::uint8_t> seal(std::uint32_t kind) &&;
 
  private:
-  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> buffer_;  // reserved header, then the payload
 };
 
 /// Validates an envelope (magic, version, kind, size, checksum) up front,

@@ -27,6 +27,9 @@ void audit_convex_pwl(const ConvexPwl& f, const char* site) {
                    "pwl-point-domain-flat", site);
     return;
   }
+  // Flat storage keeps no order by construction: every in-place edit must
+  // leave the positions strictly ascending for the merge walks to hold.
+  int previous = f.lo();
   for (const auto& [position, increment] : f.slope_increments()) {
     audit::require_with(
         position > f.lo() && position < f.hi(), "pwl-breakpoint-in-domain",
@@ -37,6 +40,12 @@ void audit_convex_pwl(const ConvexPwl& f, const char* site) {
           return "position " + std::to_string(position) + " increment " +
                  std::to_string(increment);
         });
+    audit::require_with(position > previous, "pwl-breakpoints-sorted", site,
+                        [&] {
+                          return "position " + std::to_string(position) +
+                                 " after " + std::to_string(previous);
+                        });
+    previous = position;
   }
 }
 
@@ -50,7 +59,7 @@ ConvexPwl ConvexPwl::constant(int lo, int hi, double value) {
 }
 
 ConvexPwl ConvexPwl::from_parts(int lo, int hi, double v_lo, double slope0,
-                                std::map<int, double> dslope) {
+                                SlopeIncrements dslope) {
   if (lo > hi) throw std::invalid_argument("ConvexPwl::from_parts: lo > hi");
   if (!std::isfinite(v_lo)) {
     throw std::invalid_argument("ConvexPwl::from_parts: non-finite value");
@@ -64,11 +73,18 @@ ConvexPwl ConvexPwl::from_parts(int lo, int hi, double v_lo, double slope0,
     throw std::invalid_argument(
         "ConvexPwl::from_parts: point domain carries slopes");
   }
+  int previous = lo;
   for (const auto& [position, increment] : dslope) {
     if (position <= lo || position >= hi) {
       throw std::invalid_argument(
           "ConvexPwl::from_parts: increment position outside (lo, hi)");
     }
+    if (position <= previous) {
+      throw std::invalid_argument(
+          "ConvexPwl::from_parts: increment positions not strictly "
+          "ascending");
+    }
+    previous = position;
     if (!(increment > 0.0) || !std::isfinite(increment)) {
       throw std::invalid_argument(
           "ConvexPwl::from_parts: increments must be positive and finite");
@@ -333,21 +349,28 @@ void ConvexPwl::clip_front(double s_min) {
   double value = v_lo_;
   double slope = slope0_;
   int position = lo_;
-  auto it = dslope_.begin();
-  while (it != dslope_.end()) {
-    const int p = it->first;
+  for (std::size_t k = 0; k < dslope_.size(); ++k) {
+    const auto [p, d] = dslope_[k];
     value += slope * static_cast<double>(p - position);
     position = p;
-    slope += it->second;
-    it = dslope_.erase(it);
+    slope += d;
     if (slope >= s_min) {
+      // Increments before k fold into the tangent; the one at k survives
+      // as the excess over s_min (or goes too when there is none).
       const double excess = slope - s_min;
-      if (excess > 0.0) dslope_.emplace(p, excess);
+      const auto first = dslope_.begin();
+      if (excess > 0.0) {
+        dslope_[k].second = excess;
+        dslope_.erase(first, first + static_cast<std::ptrdiff_t>(k));
+      } else {
+        dslope_.erase(first, first + static_cast<std::ptrdiff_t>(k) + 1);
+      }
       v_lo_ = value - s_min * static_cast<double>(p - lo_);
       slope0_ = s_min;
       return;
     }
   }
+  dslope_.clear();
   // Slopes stay below s_min all the way: the tangent passes through
   // (hi, W(hi)).
   value += slope * static_cast<double>(hi_ - position);
@@ -360,7 +383,7 @@ void ConvexPwl::extend_left(int new_lo, double slope) {
   if (lo_ == hi_) {
     slope0_ = slope;
   } else if (slope0_ - slope > 0.0) {
-    dslope_.emplace(lo_, slope0_ - slope);
+    dslope_.insert(dslope_.begin(), {lo_, slope0_ - slope});
     slope0_ = slope;
   }
   v_lo_ -= slope * static_cast<double>(lo_ - new_lo);
@@ -373,7 +396,7 @@ void ConvexPwl::extend_right(int new_hi, double slope) {
     slope0_ = slope;
   } else {
     const double step = slope - last_slope();
-    if (step > 0.0) dslope_.emplace(hi_, step);
+    if (step > 0.0) dslope_.emplace_back(hi_, step);
   }
   hi_ = new_hi;
 }
@@ -381,7 +404,10 @@ void ConvexPwl::extend_right(int new_hi, double slope) {
 void ConvexPwl::restrict_domain(int new_lo, int new_hi) {
   assert(!infinite_ && new_lo >= lo_ && new_hi <= hi_ && new_lo <= new_hi);
   if (new_hi < hi_) {
-    dslope_.erase(dslope_.lower_bound(new_hi), dslope_.end());
+    const auto cut = std::lower_bound(
+        dslope_.begin(), dslope_.end(), new_hi,
+        [](const std::pair<int, double>& e, int x) { return e.first < x; });
+    dslope_.erase(cut, dslope_.end());
     hi_ = new_hi;
   }
   if (new_lo > lo_) {
@@ -389,12 +415,12 @@ void ConvexPwl::restrict_domain(int new_lo, int new_hi) {
     double slope = slope0_;
     int position = lo_;
     auto it = dslope_.begin();
-    while (it != dslope_.end() && it->first <= new_lo) {
+    for (; it != dslope_.end() && it->first <= new_lo; ++it) {
       value += slope * static_cast<double>(it->first - position);
       position = it->first;
       slope += it->second;
-      it = dslope_.erase(it);
     }
+    dslope_.erase(dslope_.begin(), it);
     value += slope * static_cast<double>(new_lo - position);
     v_lo_ = value;
     slope0_ = slope;
@@ -403,16 +429,25 @@ void ConvexPwl::restrict_domain(int new_lo, int new_hi) {
   if (lo_ == hi_) slope0_ = 0.0;
 }
 
+void ConvexPwl::set_infinite() noexcept {
+  infinite_ = true;
+  lo_ = 0;
+  hi_ = 0;
+  v_lo_ = 0.0;
+  slope0_ = 0.0;
+  dslope_.clear();
+}
+
 void ConvexPwl::add(const ConvexPwl& g) {
   if (infinite_) return;
   if (g.infinite_) {
-    *this = infinite();
+    set_infinite();
     return;
   }
   const int new_lo = std::max(lo_, g.lo_);
   const int new_hi = std::min(hi_, g.hi_);
   if (new_lo > new_hi) {
-    *this = infinite();
+    set_infinite();
     return;
   }
   restrict_domain(new_lo, new_hi);
@@ -432,9 +467,41 @@ void ConvexPwl::add(const ConvexPwl& g) {
   v_lo_ += g_value;
   if (lo_ == hi_) return;  // point result: slopes are irrelevant
   slope0_ += g_slope;
-  for (; it != g.dslope_.end() && it->first < new_hi; ++it) {
-    dslope_[it->first] += it->second;
+  // Merge g's increments strictly inside (new_lo, new_hi) — entries
+  // [g_first, g_last) — into ours.  Indices, not iterators, so that
+  // f.add(f) survives the resize.  Pass 1 counts g's positions we lack;
+  // pass 2 grows the array by exactly that and merges from the back, so
+  // every entry moves at most once and a warm array never reallocates.
+  const std::size_t g_first =
+      static_cast<std::size_t>(it - g.dslope_.begin());
+  std::size_t g_last = g_first;
+  while (g_last < g.dslope_.size() && g.dslope_[g_last].first < new_hi) {
+    ++g_last;
   }
+  std::size_t fresh = 0;
+  for (std::size_t a = 0, b = g_first; b < g_last; ++b) {
+    while (a < dslope_.size() && dslope_[a].first < g.dslope_[b].first) ++a;
+    if (a == dslope_.size() || dslope_[a].first != g.dslope_[b].first) {
+      ++fresh;
+    }
+  }
+  std::size_t own = dslope_.size();  // unmerged own entries: [0, own)
+  dslope_.resize(own + fresh);
+  std::size_t out = dslope_.size();
+  for (std::size_t b = g_last; b > g_first;) {
+    const std::pair<int, double> gb = g.dslope_[b - 1];
+    if (own > 0 && dslope_[own - 1].first > gb.first) {
+      dslope_[--out] = dslope_[--own];
+    } else if (own > 0 && dslope_[own - 1].first == gb.first) {
+      --own;
+      dslope_[--out] = {gb.first, dslope_[own].second + gb.second};
+      --b;
+    } else {
+      dslope_[--out] = gb;
+      --b;
+    }
+  }
+  // Own entries left of g's first position are already in place.
   RS_AUDIT(audit_convex_pwl(*this, "ConvexPwl::add"));
 }
 
@@ -527,9 +594,10 @@ std::optional<ConvexPwl> ConvexPwlBuilder::finish(int max_breakpoints) {
   result.hi_ = end_;
   if (!runs_.empty()) {
     result.slope0_ = runs_.front().second;
+    result.dslope_.reserve(runs_.size() - 1);
     for (std::size_t i = 1; i < runs_.size(); ++i) {
-      result.dslope_.emplace(runs_[i].first,
-                             runs_[i].second - runs_[i - 1].second);
+      result.dslope_.emplace_back(runs_[i].first,
+                                  runs_[i].second - runs_[i - 1].second);
     }
   }
   RS_AUDIT(audit_convex_pwl(result, "ConvexPwlBuilder::finish"));

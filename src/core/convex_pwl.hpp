@@ -4,13 +4,14 @@
 // the convex offline fast path.  A convex extended-real function on
 // {0,..,m} that is finite exactly on a contiguous range [lo, hi] is stored
 // as the value at lo plus its slope sequence s(x) = W(x+1) − W(x), which is
-// non-decreasing by convexity.  The sequence is kept as a first slope and a
-// sorted map of positive slope *increments* ("breakpoints"), so the three
+// non-decreasing by convexity.  The sequence is kept as a first slope and
+// one flat, contiguous array of positive slope *increments*
+// ("breakpoints"), sorted by strictly ascending position, so the three
 // operations the work-function recurrences need cost
 //
-//   * pointwise add of a B-breakpoint function:  O(B log K) map inserts —
-//     adding a *linear* function is O(1) because slope increments are
-//     invariant under a uniform slope shift;
+//   * pointwise add of a B-breakpoint function:  an O(K + B) in-place merge
+//     of the two sorted arrays — adding a *linear* function is O(1) because
+//     slope increments are invariant under a uniform slope shift;
 //   * epigraph min-convolution with the switching kernel β·(x−x′)⁺ (and its
 //     mirror): clipping the slope sequence into [0, β] (resp. [−β, 0]).
 //     Each clip removes breakpoints from one end of the sequence; a
@@ -28,6 +29,15 @@
 // (arXiv:1807.05112 derives the algorithms from these projections;
 // arXiv:2108.09489 demonstrates the convex-PWL maintenance strategy).
 //
+// Storage contract: every mutating operation works in place and reuses the
+// array's existing capacity (clips and domain restrictions erase from the
+// ends, the add merge grows the array by exactly the new positions), and
+// copy-assignment into an existing function reuses its capacity too.  So a
+// long-lived function — a tracker's Ĉ pair, a session's scratch — stops
+// touching the heap once its array has reached the largest K it sees: the
+// warm per-slot path of the tracker, Lcp::decide_run and the windowed
+// tenant step is allocation-free (tests/test_alloc_free.cpp counts it).
+//
 // Numerical contract: operations mirror the dense kernels' extended-real
 // arithmetic but accumulate values in a different association order, so
 // chat values agree with the dense backend to within a few ULPs (exactly,
@@ -36,9 +46,9 @@
 // value; NaN is outside the contract (conversions reject it).
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/math_util.hpp"
@@ -47,6 +57,10 @@ namespace rs::core {
 
 class ConvexPwl {
  public:
+  /// The slope increments: (position, increment) pairs, positions strictly
+  /// ascending and strictly inside (lo, hi), increments > 0.
+  using SlopeIncrements = std::vector<std::pair<int, double>>;
+
   /// +inf everywhere (the empty work function of an infeasible prefix).
   ConvexPwl() = default;
 
@@ -68,6 +82,10 @@ class ConvexPwl {
 
   /// Number of stored slope increments (excludes the two domain ends).
   int breakpoints() const noexcept { return static_cast<int>(dslope_.size()); }
+
+  /// Pre-sizes the increment array for `n` breakpoints, so operations stay
+  /// allocation-free while K <= n even on a cold function.
+  void reserve(std::size_t n) { dslope_.reserve(n); }
 
   /// Domain ends plus every slope-increment position, ascending; empty for
   /// the infinite function.  Decorator conversions use these as the kink
@@ -123,7 +141,8 @@ class ConvexPwl {
   void relax_charge_down(double beta, int lo, int hi);
 
   /// True iff `other` has the bitwise-identical *shape*: domain, first
-  /// slope, and slope-increment map (two infinite functions compare equal).
+  /// slope, and slope-increment sequence (two infinite functions compare
+  /// equal).
   /// The anchor value v_lo is deliberately excluded — every mutating
   /// operation above drives its control flow (clip cuts, extension steps,
   /// breakpoint merges, argmin walks) from the shape alone and only ever
@@ -147,21 +166,21 @@ class ConvexPwl {
   bool bitwise_equal(const ConvexPwl& other) const noexcept;
 
   /// Serialization accessors (core/checkpoint.hpp): the anchor value W(lo),
-  /// the first slope, and the slope-increment map.  Meaningful only when
-  /// !is_infinite(); the checkpoint encodes the infinite function as a flag.
+  /// the first slope, and the slope-increment sequence.  Meaningful only
+  /// when !is_infinite(); the checkpoint encodes the infinite function as a
+  /// flag.
   double value_lo() const noexcept { return v_lo_; }
   double first_slope() const noexcept { return slope0_; }
-  const std::map<int, double>& slope_increments() const noexcept {
-    return dslope_;
-  }
+  const SlopeIncrements& slope_increments() const noexcept { return dslope_; }
 
   /// Rebuilds a function from serialized parts, re-validating every
   /// representation invariant (lo <= hi, finite anchor value and slopes,
-  /// increment positions strictly inside (lo, hi), increments > 0, a point
-  /// domain carries no slopes) so corrupt checkpoint payloads are rejected
-  /// with std::invalid_argument instead of constructing a broken function.
+  /// increment positions strictly ascending and strictly inside (lo, hi),
+  /// increments > 0, a point domain carries no slopes) so corrupt
+  /// checkpoint payloads are rejected with std::invalid_argument instead of
+  /// constructing a broken function.
   static ConvexPwl from_parts(int lo, int hi, double v_lo, double slope0,
-                              std::map<int, double> dslope);
+                              SlopeIncrements dslope);
 
  private:
   friend class ConvexPwlBuilder;
@@ -182,23 +201,27 @@ class ConvexPwl {
   void extend_right(int new_hi, double slope);
   // Shrink the domain to [new_lo, new_hi] ⊆ [lo_, hi_].
   void restrict_domain(int new_lo, int new_hi);
+  // Becomes the infinite function, keeping the array's capacity.
+  void set_infinite() noexcept;
 
   bool infinite_ = true;
   int lo_ = 0;
   int hi_ = 0;
   double v_lo_ = 0.0;    // value at lo_
   double slope0_ = 0.0;  // slope of [lo_, lo_+1]; 0 when lo_ == hi_
-  // x -> s(x) − s(x−1) for lo_ < x < hi_; entries are > 0.
-  std::map<int, double> dslope_;
+  // (x, s(x) − s(x−1)) for lo_ < x < hi_, x strictly ascending; entries
+  // are > 0.
+  SlopeIncrements dslope_;
 };
 
 /// Deep representation-invariant audit (util/audit.hpp; DESIGN.md §13):
 /// domain ordered (lo <= hi), anchor value and slopes finite, slope
-/// increments strictly positive and strictly inside (lo, hi), a point
-/// domain carrying no slopes.  Raises rs::util::audit::AuditError naming
-/// the violated invariant and `site`.  Always compiled (the auditor's
-/// negative tests call it directly); the RS_AUDIT hooks after every
-/// mutating operation engage only under RIGHTSIZER_AUDIT.
+/// increments strictly positive and strictly inside (lo, hi), their
+/// positions strictly ascending, a point domain carrying no slopes.
+/// Raises rs::util::audit::AuditError naming the violated invariant and
+/// `site`.  Always compiled (the auditor's negative tests call it
+/// directly); the RS_AUDIT hooks after every mutating operation engage
+/// only under RIGHTSIZER_AUDIT.
 void audit_convex_pwl(const ConvexPwl& f, const char* site);
 
 /// Test-only corruption hooks for the auditor's negative tests
@@ -210,7 +233,7 @@ struct ConvexPwlTestAccess {
   static int& hi(ConvexPwl& f) noexcept { return f.hi_; }
   static double& v_lo(ConvexPwl& f) noexcept { return f.v_lo_; }
   static double& slope0(ConvexPwl& f) noexcept { return f.slope0_; }
-  static std::map<int, double>& dslope(ConvexPwl& f) noexcept {
+  static ConvexPwl::SlopeIncrements& dslope(ConvexPwl& f) noexcept {
     return f.dslope_;
   }
 };

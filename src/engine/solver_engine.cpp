@@ -217,9 +217,12 @@ void run_isolated(const SolveJob& job, const DenseProblem* dense,
 // wall clock around `body` and fills the derived stats.  Shared by run()
 // and for_each() so typed batches and harness loops are measured
 // identically.
+// A template, not a std::function: the callers' capture-all bodies would
+// not fit std::function's inline buffer, and the fleet tick dispatches
+// through here on every tick.
+template <typename Body>
 void with_batch_stats(BatchStats& stats, std::size_t jobs,
-                      std::size_t threads,
-                      const std::function<void()>& body) {
+                      std::size_t threads, const Body& body) {
   stats.jobs = jobs;
   stats.threads = threads;
   const std::uint64_t growths_before = rs::util::Workspace::total_growths();
@@ -436,10 +439,12 @@ void SolverEngine::for_each_timed(std::size_t n,
   }
   BatchStats local;
   with_batch_stats(local, n, threads(), [&]() {
-    dispatch(n, [&fn, seconds](std::size_t i) {
+    // Two-word capture: fits std::function's inline buffer, so dispatch
+    // allocates nothing.
+    dispatch(n, [&fn, out = seconds.data()](std::size_t i) {
       const rs::util::Stopwatch watch;
       fn(i);
-      seconds[i] = watch.seconds();
+      out[i] = watch.seconds();
     });
   });
   if (stats != nullptr) *stats = local;

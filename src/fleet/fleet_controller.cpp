@@ -1,6 +1,5 @@
 #include "fleet/fleet_controller.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
@@ -71,64 +70,67 @@ void FleetController::finish_streams() {
 }
 
 TickReport FleetController::tick() {
-  std::vector<std::size_t> due;
-  due.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (tenants_[i]->due()) due.push_back(i);
-  }
+  const std::lock_guard<std::mutex> tick_lock(tick_mutex_);
   // Interactive tenants start (and therefore finish) ahead of batch ones,
-  // so a tick deadline defers batch work first; stable within a class, so
-  // registration order still breaks ties.  Decisions are unaffected —
-  // priority only reorders who runs when.
-  std::stable_sort(due.begin(), due.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return static_cast<int>(tenants_[a]->config().priority) <
-                            static_cast<int>(tenants_[b]->config().priority);
-                   });
+  // so a tick deadline defers batch work first; one pass per class keeps
+  // registration order within it.  Decisions are unaffected — priority
+  // only reorders who runs when.
+  due_.clear();
+  for (const Priority cls : {Priority::kInteractive, Priority::kBatch}) {
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      if (tenants_[i]->config().priority == cls && tenants_[i]->due()) {
+        due_.push_back(i);
+      }
+    }
+  }
   TickReport report;
-  report.due = due.size();
-  const rs::util::Stopwatch watch;
-  if (!due.empty()) {
-    std::vector<int> advanced(due.size(), 0);
-    std::vector<std::uint8_t> deferred(due.size(), 0);
-    std::vector<double> seconds(due.size(), 0.0);
-    const double budget = options_.tick_budget_seconds;
-    // Progress guarantee: the first tenant to reach the gate always runs,
-    // so even a sub-microsecond budget cannot defer a whole tick forever.
+  report.due = due_.size();
+  // Progress guarantee: the first tenant to reach the gate always runs,
+  // so even a sub-microsecond budget cannot defer a whole tick forever.
+  struct Gate {
+    rs::util::Stopwatch watch;
     std::atomic<bool> started{false};
+  } gate;
+  if (!due_.empty()) {
+    advanced_.assign(due_.size(), 0);
+    deferred_.assign(due_.size(), 0);
+    seconds_.assign(due_.size(), 0.0);
+    // [this, &gate] fits std::function's inline buffer: no allocation.
     engine_.for_each_timed(
-        due.size(),
-        [&](std::size_t i) {
-          const bool first = !started.exchange(true, std::memory_order_acq_rel);
-          if (!first && budget > 0.0 && watch.seconds() > budget) {
-            deferred[i] = 1;
-            tenants_[due[i]]->note_deferred();
+        due_.size(),
+        [this, &gate](std::size_t i) {
+          const bool first =
+              !gate.started.exchange(true, std::memory_order_acq_rel);
+          const double budget = options_.tick_budget_seconds;
+          if (!first && budget > 0.0 && gate.watch.seconds() > budget) {
+            deferred_[i] = 1;
+            tenants_[due_[i]]->note_deferred();
             return;
           }
-          advanced[i] = tenants_[due[i]]->step(store_);
+          advanced_[i] = tenants_[due_[i]]->step(store_);
         },
-        seconds);
-    for (std::size_t i = 0; i < due.size(); ++i) {
-      if (deferred[i] != 0) {
+        seconds_);
+    for (std::size_t i = 0; i < due_.size(); ++i) {
+      if (deferred_[i] != 0) {
         ++report.deferred;
         continue;
       }
-      if (advanced[i] > 0) {
+      if (advanced_[i] > 0) {
         ++report.advanced_tenants;
-        report.advanced_slots += static_cast<std::size_t>(advanced[i]);
+        report.advanced_slots += static_cast<std::size_t>(advanced_[i]);
       }
       // Every due tenant was non-quarantined at tick start, so a
       // quarantined state now is a this-tick transition.
-      if (tenants_[due[i]]->state() == TenantState::kQuarantined) {
+      if (tenants_[due_[i]]->state() == TenantState::kQuarantined) {
         ++report.quarantined;
       }
     }
   }
-  report.seconds = watch.seconds();
+  report.seconds = gate.watch.seconds();
   // Post-tick consistency sweep: every tenant the tick touched is back in
   // a coherent resting state (no tenant is left mid-recovery, every
   // quarantine carries its reason, trajectories in-corridor).
-  RS_AUDIT(for (const std::size_t i : due) {
+  RS_AUDIT(for (const std::size_t i : due_) {
     tenants_[i]->audit_invariants("FleetController::tick");
   });
   {

@@ -139,6 +139,14 @@ class FleetController {
   // unique_ptr: TenantSession owns a mutex and is immovable; the vector
   // only ever grows (ordinals are stable for the controller's lifetime).
   std::vector<std::unique_ptr<TenantSession>> tenants_;
+  // tick() scratch, reused so a warm tick allocates nothing: the due
+  // ordinals in dispatch order and each one's outcome.  tick_mutex_
+  // serializes ticks, so concurrent tick() calls stay safe.
+  std::mutex tick_mutex_;
+  std::vector<std::size_t> due_;
+  std::vector<int> advanced_;
+  std::vector<std::uint8_t> deferred_;
+  std::vector<double> seconds_;
 
   mutable std::mutex mutex_;  // guards the event log + counters below
   // mutable: events() drains tenant buffers into the log on read.

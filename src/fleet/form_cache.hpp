@@ -11,9 +11,12 @@
 // SlotFormCache converts each distinct (cost object, m) pair exactly once,
 // fleet-wide, and pins the CostPtr so the keyed address can never be
 // recycled by a later allocation.  Consumers (TenantSession::offer_run)
-// attach the cached form to the queued entry and feed it through
-// Lcp::decide_run(ConvexPwl), which is bit-identical to the CostFunction
-// overload on the PWL path (the tracker would derive the identical form).
+// attach the cached form to the queued entry.  Plain tenants feed it
+// through Lcp::decide_run(ConvexPwl); windowed tenants hand the revealed
+// slot's form and their lookahead's forms to WindowedLcp::decide, so a
+// windowed step neither converts nor copies a form.  Both are
+// bit-identical to the CostFunction paths on the PWL path (the session
+// would derive the identical forms itself under the same budget).
 // Negative results are cached too: a cost with no compact form under the
 // kAuto budget maps to nullptr, and callers fall back to the CostFunction
 // path (the tracker then applies its own backend policy, including the

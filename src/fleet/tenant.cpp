@@ -243,23 +243,22 @@ bool TenantSession::offer_run(double lambda, int count) {
     }
   }
 
+  // Fetch (or convert once, fleet-wide) the shared convex-PWL form.  Only
+  // non-kDense tenants consume forms — the dense path materializes rows
+  // differently, and bit-identity with the CostFunction path holds only on
+  // the PWL path.
+  std::shared_ptr<const rs::core::ConvexPwl> form;
+  if (config_.form_cache != nullptr &&
+      config_.backend != rs::offline::WorkFunctionTracker::Backend::kDense) {
+    form = config_.form_cache->form_for(cost, config_.m);
+  }
   if (config_.window > 0 && count > 1) {
     // Windowed lookahead is slot-granular: expand the run, sharing the one
-    // CostPtr across its slots.
+    // CostPtr and form across its slots.
     for (int i = 0; i < count; ++i) {
-      queue_.push_back(QueueEntry{lambda, 1, cost, nullptr});
+      queue_.push_back(QueueEntry{lambda, 1, cost, form});
     }
   } else {
-    // Fetch (or convert once, fleet-wide) the shared convex-PWL form.
-    // Only non-kDense plain-LCP tenants consume forms — the dense path
-    // materializes rows differently, and bit-identity with the
-    // CostFunction overload holds only on the PWL path.
-    std::shared_ptr<const rs::core::ConvexPwl> form;
-    if (config_.form_cache != nullptr && config_.window == 0 &&
-        config_.backend !=
-            rs::offline::WorkFunctionTracker::Backend::kDense) {
-      form = config_.form_cache->form_for(cost, config_.m);
-    }
     queue_.push_back(
         QueueEntry{lambda, count, std::move(cost), std::move(form)});
   }
@@ -346,14 +345,11 @@ int TenantSession::decide_front_locked() {
   if (rs::util::fault_fires(rs::util::FaultSite::kFleetTick, index)) {
     throw rs::engine::BackendFailureError("injected fault: fleet tick");
   }
-  const QueueEntry& entry = queue_.front();
-  std::vector<rs::core::CostPtr> lookahead;
-  if (windowed_ != nullptr) lookahead = lookahead_after_locked(1);
-  return session_decide_locked(entry, lookahead);
+  if (windowed_ != nullptr) gather_lookahead_locked(replay_.size(), 1);
+  return session_decide_locked(queue_.front());
 }
 
-int TenantSession::session_decide_locked(
-    const QueueEntry& entry, std::span<const rs::core::CostPtr> lookahead) {
+int TenantSession::session_decide_locked(const QueueEntry& entry) {
   const std::size_t need = static_cast<std::size_t>(
       entry.count > 1 ? entry.count : 1);
   if (decisions_scratch_.size() < need) {
@@ -381,7 +377,8 @@ int TenantSession::session_decide_locked(
     }
     return entry.count;
   }
-  decisions_scratch_[0] = windowed_->decide(entry.cost, lookahead);
+  decisions_scratch_[0] = windowed_->decide(
+      entry.cost, lookahead_costs_, entry.form.get(), lookahead_forms_);
   lower_scratch_[0] = windowed_->last_lower();
   upper_scratch_[0] = windowed_->last_upper();
   return 1;
@@ -441,19 +438,8 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
   std::size_t pos = schedule_.size() -
                     static_cast<std::size_t>(slots_since_checkpoint_);
   for (std::size_t i = 0; i < replay_.size(); ++i) {
-    std::vector<rs::core::CostPtr> lookahead;
-    if (windowed_ != nullptr) {
-      const std::size_t w = static_cast<std::size_t>(config_.window);
-      for (std::size_t j = i + 1; j < replay_.size() && lookahead.size() < w;
-           ++j) {
-        lookahead.push_back(replay_[j].cost);
-      }
-      for (std::size_t q = 0; q < queue_.size() && lookahead.size() < w;
-           ++q) {
-        lookahead.push_back(queue_[q].cost);
-      }
-    }
-    const int n = session_decide_locked(replay_[i], lookahead);
+    if (windowed_ != nullptr) gather_lookahead_locked(i + 1, 0);
+    const int n = session_decide_locked(replay_[i]);
     for (int k = 0; k < n; ++k) {
       const std::size_t j = static_cast<std::size_t>(k);
       schedule_[pos + j] = decisions_scratch_[j];
@@ -482,16 +468,23 @@ void TenantSession::reset_session_locked() {
   }
 }
 
-std::vector<rs::core::CostPtr> TenantSession::lookahead_after_locked(
-    std::size_t skip_queue_front) const {
-  std::vector<rs::core::CostPtr> lookahead;
+void TenantSession::gather_lookahead_locked(std::size_t replay_from,
+                                            std::size_t queue_from) {
   const std::size_t w = static_cast<std::size_t>(config_.window);
-  lookahead.reserve(w);
-  for (std::size_t q = skip_queue_front;
-       q < queue_.size() && lookahead.size() < w; ++q) {
-    lookahead.push_back(queue_[q].cost);
+  lookahead_costs_.clear();
+  lookahead_forms_.clear();
+  const auto take = [&](const QueueEntry& e) {
+    lookahead_costs_.push_back(e.cost);
+    lookahead_forms_.push_back(e.form.get());
+  };
+  for (std::size_t j = replay_from;
+       j < replay_.size() && lookahead_costs_.size() < w; ++j) {
+    take(replay_[j]);
   }
-  return lookahead;
+  for (std::size_t q = queue_from;
+       q < queue_.size() && lookahead_costs_.size() < w; ++q) {
+    take(queue_[q]);
+  }
 }
 
 void TenantSession::checkpoint_now(rs::core::CheckpointStore& store) {
@@ -510,14 +503,17 @@ std::vector<std::uint8_t> TenantSession::snapshot_bytes() const {
 }
 
 std::vector<std::uint8_t> TenantSession::snapshot_bytes_locked() const {
+  // One buffer for the whole checkpoint: the session and its tracker nest
+  // in place, and the sealed buffer moves out.
   rs::core::CheckpointWriter writer;
   writer.u64(stats_.steps);
   writer.u8(stats_.degraded_to_dense ? 1 : 0);
-  const std::vector<std::uint8_t> session =
-      lcp_ != nullptr ? lcp_->snapshot() : windowed_->snapshot();
-  writer.u64(session.size());
-  writer.bytes(session);
-  return writer.seal(rs::core::kTenantCheckpointKind);
+  if (lcp_ != nullptr) {
+    lcp_->write_snapshot(writer);
+  } else {
+    windowed_->write_snapshot(writer);
+  }
+  return std::move(writer).seal(rs::core::kTenantCheckpointKind);
 }
 
 TenantCheckpoint TenantSession::decode_checkpoint(

@@ -156,8 +156,8 @@ struct TenantConfig {
   int what_if_slots = 0;
   /// Shared conversion cache (fleet/form_cache.hpp); FleetController
   /// injects its fleet-wide cache here on add_tenant when unset.  Used by
-  /// window == 0, non-kDense tenants to convert each distinct slot cost
-  /// once fleet-wide; nullptr disables sharing (standalone sessions).
+  /// non-kDense tenants, plain and windowed, to convert each distinct slot
+  /// cost once fleet-wide; nullptr disables sharing (standalone sessions).
   SlotFormCache* form_cache = nullptr;
 };
 
@@ -206,7 +206,8 @@ class TenantSession {
   /// Queues a run of `count` slots sharing one λ (RLE ingest).  Window = 0
   /// tenants keep the run intact and decide it through the closed-form
   /// advance_repeated path; windowed tenants expand it to slots (their
-  /// lookahead is slot-granular).
+  /// lookahead is slot-granular), every slot sharing the one cost and
+  /// cached form.
   bool offer_run(double lambda, int count);
 
   /// Declares end-of-stream: windowed tenants become due for their tail
@@ -299,7 +300,8 @@ class TenantSession {
     // Cached convex-PWL form from the shared fleet cache (nullptr when the
     // cache is absent/full or the cost has no compact form).  Replay
     // entries carry the same pointer, so a recovery consumes the identical
-    // input and stays bit-identical.
+    // input and stays bit-identical.  Windowed tenants pass the forms of
+    // the revealed slot and its lookahead to WindowedLcp as they are.
     std::shared_ptr<const rs::core::ConvexPwl> form;
   };
 
@@ -317,14 +319,15 @@ class TenantSession {
   void checkpoint_locked(rs::core::CheckpointStore& store);
   void recover_locked(rs::core::CheckpointStore& store,
                       const std::string& reason);
-  void replay_entry_locked(const QueueEntry& entry, std::size_t replay_pos,
-                           std::size_t slot_base);
-  std::vector<rs::core::CostPtr> lookahead_after_locked(
-      std::size_t skip_queue_front) const;
+  // Fills lookahead_costs_/lookahead_forms_ with the next `window` slots
+  // after the one being decided: replay_[replay_from..], then
+  // queue_[queue_from..].
+  void gather_lookahead_locked(std::size_t replay_from,
+                               std::size_t queue_from);
   std::vector<std::uint8_t> snapshot_bytes_locked() const;
   void reset_session_locked();
-  int session_decide_locked(const QueueEntry& entry,
-                            std::span<const rs::core::CostPtr> lookahead);
+  // Decides `entry`; windowed sessions read the gathered lookahead.
+  int session_decide_locked(const QueueEntry& entry);
 
   mutable std::mutex mutex_;
   TenantConfig config_;
@@ -349,14 +352,19 @@ class TenantSession {
   std::vector<int> upper_;
 
   // Entries committed since the last checkpoint, in order — the gap a
-  // recovery replays.  Bounded by the checkpoint cadence.
-  std::deque<QueueEntry> replay_;
+  // recovery replays.  Bounded by the checkpoint cadence; a vector, so the
+  // per-checkpoint clear() keeps its capacity.
+  std::vector<QueueEntry> replay_;
   int slots_since_checkpoint_ = 0;
 
   // Per-slot decision scratch (reused across steps).
   std::vector<int> decisions_scratch_;
   std::vector<int> lower_scratch_;
   std::vector<int> upper_scratch_;
+  // Windowed lookahead scratch (reused across steps): the costs and their
+  // shared-cache forms (nullptr where a slot has none).
+  std::vector<rs::core::CostPtr> lookahead_costs_;
+  std::vector<const rs::core::ConvexPwl*> lookahead_forms_;
 
   // Monotone fault-index counters (see util::tenant_fault_index): one
   // kFleetTick index per slot *attempt* (fresh or post-recovery retry, so

@@ -184,7 +184,7 @@ double solve_cost_impl(int T, int m, double beta, RowAt&& row_at) {
 // tracker pass yields the optimal cost (min Ĉ^L_T) and the per-step bound
 // corridor, from which the Lemma-11 backward projection reconstructs an
 // optimal schedule without any parent table.  With the PWL backend this is
-// O(T·B log K) time and O(T + K) memory; on the dense fallback it is the
+// O(T·(K + B)) time and O(T + K) memory; on the dense fallback it is the
 // usual O(T·m).
 // Shared by the streaming (per-slot conversion inside the tracker) and the
 // cached-forms (PwlProblem) entry points; `advance_at(tracker, t)` feeds

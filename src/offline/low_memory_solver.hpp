@@ -17,7 +17,7 @@
 // labels by add+relax (the completion-cost recursion), and every midpoint
 // pick is the smallest argmin of W + B, exactly the dense scan's strict-<
 // tie-break — and falls back to the dense path otherwise.  One D&C level
-// then costs O(T·B log K) instead of O(T·m): time O(T log T) independent
+// then costs O(T·(K + B)) instead of O(T·m): time O(T log T) independent
 // of m, memory O(T·K) cached forms (converted once, up front) + O(K)
 // labels.  Same schedule as the dense path: bit-identical on
 // integer-valued instances, tie-equivalent elsewhere (DESIGN.md §8).

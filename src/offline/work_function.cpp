@@ -38,6 +38,15 @@ WorkFunctionTracker::WorkFunctionTracker(int m, double beta, Backend backend)
   // dense backend is ever engaged.
   pwl_l_ = ConvexPwl::point(0, 0.0);
   pwl_u_ = ConvexPwl::point(0, 0.0);
+  if (backend != Backend::kDense) {
+    // Size the Ĉ pair for the compact budget up front: the live K stays of
+    // the order of one slot's breakpoints, so even a cold tracker's PWL
+    // advances touch no heap.
+    const auto budget =
+        static_cast<std::size_t>(rs::core::compact_pwl_budget_for(m));
+    pwl_l_.reserve(budget);
+    pwl_u_.reserve(budget);
+  }
 }
 
 void WorkFunctionTracker::init_dense() {
@@ -263,10 +272,11 @@ void WorkFunctionTracker::advance_repeated(std::span<const double> values,
 void WorkFunctionTracker::advance_repeated_pwl(const ConvexPwl& f, int count,
                                                std::span<int> xl,
                                                std::span<int> xu) {
-  ConvexPwl prev_l;
-  ConvexPwl prev_u;
+  ConvexPwl& prev_l = prev_l_scratch_;
+  ConvexPwl& prev_u = prev_u_scratch_;
   for (int done = 0; done < count; ++done) {
-    // Snapshot the shapes (O(K) map copies) only while a jump can still pay.
+    // Snapshot the shapes (O(K) copies into warm scratch) only while a
+    // jump can still pay.
     const bool may_jump = done + 1 < count;
     double vl_prev = 0.0;
     double vu_prev = 0.0;
@@ -418,7 +428,7 @@ void write_pwl(rs::core::CheckpointWriter& w, const ConvexPwl& f) {
   w.i32(f.hi());
   w.f64(f.value_lo());
   w.f64(f.first_slope());
-  const std::map<int, double>& increments = f.slope_increments();
+  const ConvexPwl::SlopeIncrements& increments = f.slope_increments();
   w.u32(static_cast<std::uint32_t>(increments.size()));
   for (const auto& [pos, dv] : increments) {
     w.i32(pos);
@@ -448,14 +458,22 @@ ConvexPwl read_pwl(rs::core::CheckpointReader& r, int m) {
     throw rs::core::CheckpointFormatError(
         "tracker checkpoint: PWL domain outside [0, m]");
   }
-  std::map<int, double> increments;
+  ConvexPwl::SlopeIncrements increments;
+  increments.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::int32_t pos = r.i32();
     const double dv = r.f64();
-    if (!increments.emplace(pos, dv).second) {
-      throw rs::core::CheckpointFormatError(
-          "tracker checkpoint: duplicate PWL increment position");
-    }
+    increments.emplace_back(pos, dv);
+  }
+  // Writers emit ascending positions, but the format has always accepted
+  // any order of unique positions; sort before from_parts' ascending check.
+  std::sort(increments.begin(), increments.end());
+  const auto duplicate = std::adjacent_find(
+      increments.begin(), increments.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (duplicate != increments.end()) {
+    throw rs::core::CheckpointFormatError(
+        "tracker checkpoint: duplicate PWL increment position");
   }
   try {
     return ConvexPwl::from_parts(lo, hi, v_lo, slope0, std::move(increments));
@@ -469,6 +487,30 @@ ConvexPwl read_pwl(rs::core::CheckpointReader& r, int m) {
 
 std::vector<std::uint8_t> WorkFunctionTracker::snapshot() const {
   rs::core::CheckpointWriter w;
+  write_snapshot_payload(w);
+  return std::move(w).seal(rs::core::kTrackerCheckpointKind);
+}
+
+void WorkFunctionTracker::write_snapshot(rs::core::CheckpointWriter& w) const {
+  const std::size_t mark = w.begin_nested(rs::core::kTrackerCheckpointKind);
+  write_snapshot_payload(w);
+  w.end_nested(mark);
+}
+
+void WorkFunctionTracker::write_snapshot_payload(
+    rs::core::CheckpointWriter& w) const {
+  // Reserve the exact payload (layout below and in write_pwl), so the one
+  // checkpoint buffer never regrows while the labels are written.
+  const auto pwl_size = [](const ConvexPwl& f) -> std::size_t {
+    return f.is_infinite() ? 1 : 29 + 12 * f.slope_increments().size();
+  };
+  std::size_t size = 30;
+  if (mode_ == Mode::kPwl) {
+    size += pwl_size(pwl_l_) + pwl_size(pwl_u_);
+  } else if (mode_ == Mode::kDense) {
+    size += 16 * (static_cast<std::size_t>(m_) + 1);
+  }
+  w.reserve(size);
   w.i32(m_);
   w.f64(beta_);
   w.u8(static_cast<std::uint8_t>(backend_));
@@ -483,7 +525,6 @@ std::vector<std::uint8_t> WorkFunctionTracker::snapshot() const {
     for (int x = 0; x <= m_; ++x) w.f64(chat_l_[static_cast<std::size_t>(x)]);
     for (int x = 0; x <= m_; ++x) w.f64(chat_u_[static_cast<std::size_t>(x)]);
   }
-  return w.seal(rs::core::kTrackerCheckpointKind);
 }
 
 WorkFunctionTracker WorkFunctionTracker::restore(

@@ -17,7 +17,7 @@
 //     they are kept as exact convex piecewise-linear functions
 //     (core/convex_pwl.hpp): the relax steps clip the slope sequences into
 //     [0, β] / [−β, 0] (amortized O(1) per breakpoint) and the f_τ
-//     addition merges its breakpoints, making one advance O(B log K) in
+//     addition merges its breakpoints, making one advance O(K + B) in
 //     breakpoint counts and fully independent of m — the backend for
 //     m ~ 10⁵..10⁶ instances where even streaming O(m) rows is the
 //     bottleneck (arXiv:1807.05112 §LCP, arXiv:2108.09489).
@@ -50,6 +50,10 @@
 #include "core/pwl_problem.hpp"
 #include "util/workspace.hpp"
 
+namespace rs::core {
+class CheckpointWriter;
+}  // namespace rs::core
+
 namespace rs::offline {
 
 class WorkFunctionTracker {
@@ -68,7 +72,7 @@ class WorkFunctionTracker {
   /// outlive the thread.
   WorkFunctionTracker(int m, double beta, Backend backend = Backend::kAuto);
 
-  /// Feeds f_τ (the next operating-cost function).  O(B log K) on the PWL
+  /// Feeds f_τ (the next operating-cost function).  O(K + B) on the PWL
   /// backend, O(m) (one eval_row, no per-state dispatch) on the dense one.
   void advance(const rs::core::CostFunction& f);
 
@@ -98,8 +102,8 @@ class WorkFunctionTracker {
   ///     and fast-forward τ and the chat values in O(1).  In practice the
   ///     fixpoint lands within a handful of steps (the relax clips the
   ///     slopes into [0,β]/[−β,0] and f's breakpoints stop moving), making
-  ///     a length-k run cost O(min(k, fixpoint) · B log K) instead of
-  ///     O(k · B log K).  Chat *values* after a jump are fast-forwarded by
+  ///     a length-k run cost O(min(k, fixpoint) · (K + B)) instead of
+  ///     O(k · (K + B)).  Chat *values* after a jump are fast-forwarded by
   ///     the shape-determined per-step increment, which matches stepping
   ///     up to FP association order (exactly on integer-valued runs) —
   ///     same tolerance class as the dense-vs-PWL contract of DESIGN.md §8.
@@ -133,6 +137,12 @@ class WorkFunctionTracker {
   /// bitwise-identically to the uninterrupted run on either backend (the
   /// kill-and-resume suite pins schedules, corridor bounds, and costs).
   std::vector<std::uint8_t> snapshot() const;
+
+  /// Appends the snapshot() envelope to `w` as a nested checkpoint
+  /// (CheckpointWriter::begin_nested): the bytes of u64(snapshot().size())
+  /// then snapshot(), written in place — how the Lcp and WindowedLcp
+  /// checkpoints embed their tracker without an intermediate buffer.
+  void write_snapshot(rs::core::CheckpointWriter& w) const;
 
   /// Reconstructs a tracker from snapshot() bytes.  Rejects malformed,
   /// truncated, mislabeled, or bit-flipped input with the typed
@@ -269,6 +279,7 @@ class WorkFunctionTracker {
   enum class Mode { kUndecided, kPwl, kDense };
 
   void require_started() const;
+  void write_snapshot_payload(rs::core::CheckpointWriter& w) const;
   void init_dense();
   void advance_dense(std::span<const double> values);
   void advance_pwl(const rs::core::ConvexPwl& f);
@@ -316,9 +327,13 @@ class WorkFunctionTracker {
   int tau_ = 0;
   int x_lower_ = 0;  // smallest minimizer of Ĉ^L, updated per advance
   int x_upper_ = 0;  // largest minimizer of Ĉ^U
-  // PWL backend state (empty maps until first use).
+  // PWL backend state.
   rs::core::ConvexPwl pwl_l_;
   rs::core::ConvexPwl pwl_u_;
+  // advance_repeated_pwl's previous-step shapes for the fixpoint test;
+  // members so their arrays stay warm across runs (no per-run allocation).
+  rs::core::ConvexPwl prev_l_scratch_;
+  rs::core::ConvexPwl prev_u_scratch_;
   // Dense backend state.  Label rows and the eval_row scratch are
   // workspace-borrowed so repeated tracker construction (one per LCP
   // replay / trial) is allocation-free after warm-up; the tracker is

@@ -109,17 +109,23 @@ bool Lcp::degrade_to_dense() {
 
 std::vector<std::uint8_t> Lcp::snapshot() const {
   rs::core::CheckpointWriter w;
+  write_snapshot_payload(w);
+  return std::move(w).seal(rs::core::kLcpCheckpointKind);
+}
+
+void Lcp::write_snapshot(rs::core::CheckpointWriter& w) const {
+  const std::size_t mark = w.begin_nested(rs::core::kLcpCheckpointKind);
+  write_snapshot_payload(w);
+  w.end_nested(mark);
+}
+
+void Lcp::write_snapshot_payload(rs::core::CheckpointWriter& w) const {
   w.u8(static_cast<std::uint8_t>(backend_));
   w.i32(current_);
   w.i32(last_lower_);
   w.i32(last_upper_);
   w.u8(tracker_.has_value() ? 1 : 0);
-  if (tracker_.has_value()) {
-    const std::vector<std::uint8_t> nested = tracker_->snapshot();
-    w.u64(nested.size());
-    w.bytes(nested);
-  }
-  return w.seal(rs::core::kLcpCheckpointKind);
+  if (tracker_.has_value()) tracker_->write_snapshot(w);
 }
 
 void Lcp::restore(const OnlineContext& context,
@@ -179,7 +185,9 @@ void Lcp::restore(const OnlineContext& context,
 }
 
 rs::core::Schedule run_lcp_dense(const rs::core::DenseProblem& dense) {
-  rs::offline::WorkFunctionTracker tracker(dense.max_servers(), dense.beta());
+  rs::offline::WorkFunctionTracker tracker(
+      dense.max_servers(), dense.beta(),
+      rs::offline::WorkFunctionTracker::Backend::kDense);
   rs::core::Schedule schedule;
   schedule.reserve(static_cast<std::size_t>(dense.horizon()));
   int current = 0;

@@ -10,7 +10,7 @@
 //
 // The work-function tracker behind decide() auto-selects its backend: on
 // instances whose slot costs admit compact convex-PWL forms every step is
-// O(B log K) in breakpoint counts — independent of m, the configuration
+// O(K + B) in breakpoint counts — independent of m, the configuration
 // that scales LCP to 10⁵-10⁶ servers (see bench_scaling, E13) — and
 // otherwise it runs the dense O(m) three-pass update.
 #pragma once
@@ -95,6 +95,10 @@ class Lcp final : public OnlineAlgorithm {
   /// the remaining slots bitwise-identically to the uninterrupted run.
   std::vector<std::uint8_t> snapshot() const;
 
+  /// Appends the snapshot() envelope to `w` as a nested checkpoint, in
+  /// place (see WorkFunctionTracker::write_snapshot).
+  void write_snapshot(rs::core::CheckpointWriter& w) const;
+
   /// Replaces this session's state from snapshot() bytes, the crash-recovery
   /// counterpart of reset().  `context` must match the snapshotted session
   /// — same m, beta, and constructed backend — else
@@ -110,6 +114,7 @@ class Lcp final : public OnlineAlgorithm {
                       std::span<const int> upper) const;
   void project_run(int count, std::span<int> decisions, std::span<int> lower,
                    std::span<int> upper);
+  void write_snapshot_payload(rs::core::CheckpointWriter& w) const;
 
   rs::offline::WorkFunctionTracker::Backend backend_;
   // In-place tracker (workspace-backed): reset() re-emplaces without a heap

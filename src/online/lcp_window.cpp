@@ -6,6 +6,7 @@
 #include "online/lcp_window.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "core/checkpoint.hpp"
@@ -73,23 +74,35 @@ std::vector<double> completion_costs(
   return d;
 }
 
-rs::core::ConvexPwl completion_costs_pwl(
-    std::span<const rs::core::ConvexPwl> window, int m, double beta,
-    bool charge_up) {
+void completion_costs_pwl(std::span<const rs::core::ConvexPwl* const> window,
+                          int m, double beta, bool charge_up,
+                          rs::core::ConvexPwl& d) {
   // Same recursion as the dense pass (add f_j, then relax), with the relax
   // realized as a slope clip: under L-accounting (charge_up) future
   // up-moves cost β, i.e. slopes below −β are raised onto the −β tangent
   // and the increasing part is flattened — the charge-down clip; the
-  // U-accounting window mirrors it.
-  rs::core::ConvexPwl d = rs::core::ConvexPwl::constant(0, m, 0.0);
+  // U-accounting window mirrors it.  Copy-assigning the zero function (not
+  // moving a temporary in) keeps d's array and its capacity.
+  const rs::core::ConvexPwl zero = rs::core::ConvexPwl::constant(0, m, 0.0);
+  d = zero;
   for (std::size_t j = window.size(); j-- > 0;) {
-    d.add(window[j]);
+    d.add(*window[j]);
     if (charge_up) {
       d.relax_charge_down(beta, 0, m);
     } else {
       d.relax_charge_up(beta, 0, m);
     }
   }
+}
+
+rs::core::ConvexPwl completion_costs_pwl(
+    std::span<const rs::core::ConvexPwl> window, int m, double beta,
+    bool charge_up) {
+  std::vector<const rs::core::ConvexPwl*> rows;
+  rows.reserve(window.size());
+  for (const rs::core::ConvexPwl& f : window) rows.push_back(&f);
+  rs::core::ConvexPwl d;
+  completion_costs_pwl(rows, m, beta, charge_up, d);
   return d;
 }
 
@@ -104,6 +117,18 @@ void WindowedLcp::reset(const OnlineContext& context) {
 
 std::vector<std::uint8_t> WindowedLcp::snapshot() const {
   rs::core::CheckpointWriter w;
+  write_snapshot_payload(w);
+  return std::move(w).seal(rs::core::kWindowedLcpCheckpointKind);
+}
+
+void WindowedLcp::write_snapshot(rs::core::CheckpointWriter& w) const {
+  const std::size_t mark =
+      w.begin_nested(rs::core::kWindowedLcpCheckpointKind);
+  write_snapshot_payload(w);
+  w.end_nested(mark);
+}
+
+void WindowedLcp::write_snapshot_payload(rs::core::CheckpointWriter& w) const {
   w.u8(static_cast<std::uint8_t>(backend_));
   w.i32(context_.m);
   w.f64(context_.beta);
@@ -111,12 +136,7 @@ std::vector<std::uint8_t> WindowedLcp::snapshot() const {
   w.i32(last_lower_);
   w.i32(last_upper_);
   w.u8(tracker_.has_value() ? 1 : 0);
-  if (tracker_.has_value()) {
-    const std::vector<std::uint8_t> nested = tracker_->snapshot();
-    w.u64(nested.size());
-    w.bytes(nested);
-  }
-  return w.seal(rs::core::kWindowedLcpCheckpointKind);
+  if (tracker_.has_value()) tracker_->write_snapshot(w);
 }
 
 void WindowedLcp::restore(const OnlineContext& context,
@@ -185,6 +205,97 @@ void WindowedLcp::restore(const OnlineContext& context,
   last_upper_ = last_upper;
 }
 
+bool WindowedLcp::pwl_path_open() const {
+  return backend_ != rs::offline::WorkFunctionTracker::Backend::kDense &&
+         (tracker_->tau() == 0 || tracker_->using_pwl());
+}
+
+bool WindowedLcp::slide_forms(const rs::core::CostPtr& f,
+                              std::span<const rs::core::CostPtr> lookahead) {
+  const int m = context_.m;
+  const int budget =
+      backend_ == rs::offline::WorkFunctionTracker::Backend::kPwl
+          ? rs::core::kUnboundedBreakpoints
+          : rs::core::compact_pwl_budget_for(m);
+  // The previous step cached the forms of [f_prev, lookahead_prev...]; this
+  // step's f is the previous lookahead's head and its lookahead overlaps
+  // the previous one shifted by one.  Each needed cost takes the next
+  // matching entry at or after the read cursor (entries skipped on the way
+  // are dropped) and moves it down to its slot; once a cost misses, every
+  // remaining entry is stale and the rest convert.  So a sliding replay
+  // converts only the newly revealed window tail; non-sliding callers
+  // simply miss — correctness never depends on the cache.
+  const std::size_t cached = form_cache_.size();
+  std::size_t read = 0;
+  std::size_t write = 0;
+  for (std::size_t j = 0; j <= lookahead.size(); ++j) {
+    const rs::core::CostPtr& g = j == 0 ? f : lookahead[j - 1];
+    std::size_t hit = read;
+    while (hit < cached && form_cache_[hit].first != g) ++hit;
+    if (hit < cached) {
+      if (hit != write) form_cache_[write] = std::move(form_cache_[hit]);
+      read = hit + 1;
+    } else {
+      read = cached;
+      std::optional<rs::core::ConvexPwl> form = g->as_convex_pwl(m, budget);
+      if (!form) {
+        form_cache_.clear();
+        return false;
+      }
+      if (write < cached) {
+        form_cache_[write] = {g, std::move(*form)};
+      } else {
+        form_cache_.emplace_back(g, std::move(*form));
+      }
+    }
+    ++write;
+  }
+  form_cache_.resize(write);
+  return true;
+}
+
+int WindowedLcp::decide_pwl(
+    const rs::core::ConvexPwl& form,
+    std::span<const rs::core::ConvexPwl* const> window) {
+  const int m = context_.m;
+  tracker_->advance(form);
+  completion_costs_pwl(window, m, context_.beta, /*charge_up=*/true, d_lower_);
+  completion_costs_pwl(window, m, context_.beta, /*charge_up=*/false,
+                       d_upper_);
+  sum_lower_ = tracker_->chat_lower_pwl();
+  sum_lower_.add(d_lower_);
+  sum_upper_ = tracker_->chat_upper_pwl();
+  sum_upper_.add(d_upper_);
+  int lower = 0;
+  int upper = m;  // all-infinite sums: the dense scan's (0, m)
+  if (!sum_lower_.is_infinite()) {
+    lower = sum_lower_.argmin().lo;  // smallest minimizer, strict <
+    upper = sum_upper_.argmin().hi;  // largest minimizer, <=
+  }
+  last_lower_ = lower;
+  last_upper_ = upper;
+  const int lo = std::min(lower, upper);
+  const int hi = std::max(lower, upper);
+  current_ = rs::util::project(current_, lo, hi);
+  return current_;
+}
+
+int WindowedLcp::decide(
+    const rs::core::CostPtr& f, std::span<const rs::core::CostPtr> lookahead,
+    const rs::core::ConvexPwl* form,
+    std::span<const rs::core::ConvexPwl* const> lookahead_forms) {
+  if (lookahead_forms.size() != lookahead.size()) {
+    throw std::invalid_argument(
+        "WindowedLcp::decide: one form per lookahead cost");
+  }
+  const bool all_forms =
+      form != nullptr &&
+      std::find(lookahead_forms.begin(), lookahead_forms.end(), nullptr) ==
+          lookahead_forms.end();
+  if (all_forms && pwl_path_open()) return decide_pwl(*form, lookahead_forms);
+  return decide(f, lookahead);
+}
+
 int WindowedLcp::decide(const rs::core::CostPtr& f,
                         std::span<const rs::core::CostPtr> lookahead) {
   const int m = context_.m;
@@ -192,74 +303,13 @@ int WindowedLcp::decide(const rs::core::CostPtr& f,
   // PWL fast path: usable while the tracker has not fallen back to dense
   // and the revealed cost plus the whole lookahead convert compactly.  The
   // per-step cost is then independent of m.
-  if (backend_ != rs::offline::WorkFunctionTracker::Backend::kDense &&
-      (tracker_->tau() == 0 || tracker_->using_pwl())) {
-    const int budget =
-        backend_ == rs::offline::WorkFunctionTracker::Backend::kPwl
-            ? rs::core::kUnboundedBreakpoints
-            : rs::core::compact_pwl_budget_for(m);
-    // Form lookup through the sliding cache: the previous step cached the
-    // forms of [f_prev, lookahead_prev...]; this step's f is the previous
-    // lookahead's head and its lookahead overlaps the previous one shifted
-    // by one, so consuming matching cache entries front to back leaves
-    // exactly the newly revealed window tail to convert.  Non-sliding
-    // callers simply miss and convert — correctness never depends on the
-    // cache.
-    const auto take_form =
-        [this, m, budget](
-            const rs::core::CostPtr& g) -> std::optional<rs::core::ConvexPwl> {
-      while (!form_cache_.empty() && form_cache_.front().first != g) {
-        form_cache_.pop_front();
+  if (pwl_path_open()) {
+    if (slide_forms(f, lookahead)) {
+      window_scratch_.clear();
+      for (std::size_t j = 1; j < form_cache_.size(); ++j) {
+        window_scratch_.push_back(&form_cache_[j].second);
       }
-      if (!form_cache_.empty()) {
-        rs::core::ConvexPwl form = std::move(form_cache_.front().second);
-        form_cache_.pop_front();
-        return form;
-      }
-      return g->as_convex_pwl(m, budget);
-    };
-    std::optional<rs::core::ConvexPwl> fp = take_form(f);
-    if (fp) {
-      std::vector<rs::core::ConvexPwl> window;
-      window.reserve(lookahead.size());
-      std::deque<std::pair<rs::core::CostPtr, rs::core::ConvexPwl>> next_cache;
-      bool convertible = true;
-      for (const rs::core::CostPtr& g : lookahead) {
-        std::optional<rs::core::ConvexPwl> gp = take_form(g);
-        if (!gp) {
-          convertible = false;
-          break;
-        }
-        // The form is needed twice: in this step's window pass and as the
-        // next step's cache entry.  An O(K) copy replaces a re-conversion.
-        next_cache.emplace_back(g, *gp);
-        window.push_back(std::move(*gp));
-      }
-      form_cache_ = std::move(next_cache);
-      if (convertible) {
-        tracker_->advance(*fp);
-        const rs::core::ConvexPwl d_lower =
-            completion_costs_pwl(window, m, context_.beta, /*charge_up=*/true);
-        const rs::core::ConvexPwl d_upper =
-            completion_costs_pwl(window, m, context_.beta,
-                                 /*charge_up=*/false);
-        rs::core::ConvexPwl sum_lower = tracker_->chat_lower_pwl();
-        sum_lower.add(d_lower);
-        rs::core::ConvexPwl sum_upper = tracker_->chat_upper_pwl();
-        sum_upper.add(d_upper);
-        int lower = 0;
-        int upper = m;  // all-infinite sums: the dense scan's (0, m)
-        if (!sum_lower.is_infinite()) {
-          lower = sum_lower.argmin().lo;   // smallest minimizer, strict <
-          upper = sum_upper.argmin().hi;   // largest minimizer, <=
-        }
-        last_lower_ = lower;
-        last_upper_ = upper;
-        const int lo = std::min(lower, upper);
-        const int hi = std::max(lower, upper);
-        current_ = rs::util::project(current_, lo, hi);
-        return current_;
-      }
+      return decide_pwl(form_cache_.front().second, window_scratch_);
     }
     // Not compactly convertible.  A forced-PWL run cannot proceed — name
     // the cause (matching the Lcp/tracker contract) rather than tripping
@@ -271,7 +321,6 @@ int WindowedLcp::decide(const rs::core::CostPtr& f,
     }
     // Latch the dense backend so every later per-x query below stays O(1);
     // the PWL path (and with it the form cache) is never revisited.
-    form_cache_.clear();
     tracker_->ensure_dense_backend();
   }
 

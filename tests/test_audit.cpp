@@ -139,7 +139,9 @@ TEST(AuditConvexPwl, FlagsSlopedPointDomain) {
 TEST(AuditConvexPwl, FlagsBreakpointOutsideDomain) {
   expect_audit("pwl-breakpoint-in-domain", [] {
     ConvexPwl f = healthy_pwl();
-    ConvexPwlTestAccess::dslope(f)[0] = 1.0;  // position must be in (lo, hi)
+    // Position 0 == lo: must be in (lo, hi).
+    auto& dslope = ConvexPwlTestAccess::dslope(f);
+    dslope.insert(dslope.begin(), {0, 1.0});
     rs::core::audit_convex_pwl(f, "test");
   });
 }
@@ -147,7 +149,25 @@ TEST(AuditConvexPwl, FlagsBreakpointOutsideDomain) {
 TEST(AuditConvexPwl, FlagsNonPositiveIncrement) {
   expect_audit("pwl-increment-positive", [] {
     ConvexPwl f = healthy_pwl();
-    ConvexPwlTestAccess::dslope(f)[2] = -0.5;  // concave kink
+    ConvexPwlTestAccess::dslope(f).front() = {2, -0.5};  // concave kink
+    rs::core::audit_convex_pwl(f, "test");
+  });
+}
+
+TEST(AuditConvexPwl, FlagsUnsortedBreakpoints) {
+  expect_audit("pwl-breakpoints-sorted", [] {
+    ConvexPwl f = healthy_pwl();
+    // (3, 1.0), (2, 0.25): each entry alone is valid, the order is not.
+    ConvexPwlTestAccess::dslope(f).front().first = 3;
+    ConvexPwlTestAccess::dslope(f).back().first = 2;
+    rs::core::audit_convex_pwl(f, "test");
+  });
+}
+
+TEST(AuditConvexPwl, FlagsDuplicateBreakpoint) {
+  expect_audit("pwl-breakpoints-sorted", [] {
+    ConvexPwl f = healthy_pwl();
+    ConvexPwlTestAccess::dslope(f).back().first = 2;  // (2, ·) twice
     rs::core::audit_convex_pwl(f, "test");
   });
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,6 +25,7 @@
 #include "core/cost_function.hpp"
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
+#include "fleet/tenant.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
 #include "online/lcp_window.hpp"
@@ -334,6 +336,12 @@ TEST(ConvexPwlParts, RejectsBrokenInvariants) {
   EXPECT_THROW(ConvexPwl::from_parts(0, 4, 0.0, 1.0, {{2, 0.0}}),
                std::invalid_argument);
   EXPECT_THROW(ConvexPwl::from_parts(0, 4, 0.0, 1.0, {{2, std::nan("")}}),
+               std::invalid_argument);
+  // Positions must be strictly ascending (flat storage keeps no order by
+  // construction).
+  EXPECT_THROW(ConvexPwl::from_parts(0, 4, 0.0, 1.0, {{3, 1.0}, {2, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(ConvexPwl::from_parts(0, 4, 0.0, 1.0, {{2, 1.0}, {2, 1.0}}),
                std::invalid_argument);
 }
 
@@ -673,6 +681,185 @@ TEST(WindowedLcpCheckpoint, RestoreRejectsMismatchedTarget) {
   Lcp not_windowed(Backend::kAuto);
   EXPECT_THROW(not_windowed.restore(OnlineContext{10, 2.0}, bytes),
                CheckpointFormatError);  // kind tag mismatch
+}
+
+// ---------------------------------------------------------------------------
+// Wire format pins: exact bytes of every checkpoint kind
+// ---------------------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+rs::fleet::TenantConfig pinned_tenant_config(int window) {
+  rs::fleet::TenantConfig c;
+  c.name = "pin";
+  c.m = 8;
+  c.beta = 2.0;
+  c.window = window;
+  c.checkpoint_every = 4;
+  c.cost_of = [](double lambda) -> rs::core::CostPtr {
+    return std::make_shared<rs::core::AffineAbsCost>(1.5, lambda, 0.25);
+  };
+  return c;
+}
+
+// The hex below was captured from the implementation that kept PWL slope
+// increments in an ordered map and sealed every nested layer into its own
+// buffer.  Storage and writer changes must leave every byte as it was: a
+// difference here is a checkpoint format change.
+TEST(CheckpointBytes, SnapshotsOfEveryKindArePinned) {
+  const Problem p = hinge_problem(8, 2.0, 12, 15);
+  WorkFunctionTracker pwl(8, 2.0, Backend::kPwl);
+  for (int t = 1; t <= 6; ++t) pwl.advance(p.f(t));
+  EXPECT_EQ(hex(pwl.snapshot()),
+    "5253434b01000000010000008800000000000000dd8b71cd0800000000000000"
+    "0000004002010600000000000000040000000800000000000000000800000076"
+    "4b3f2bd61341401ce5fb27f421f7bf0200000004000000000000000000004007"
+    "000000b962c97dff90f33f000000000008000000764b3f2bd61341408ef2fd13"
+    "fa900bc00200000004000000000000000000004007000000b962c97dff90f33f");
+
+  const Problem q = hinge_problem(3, 2.0, 4, 16);
+  WorkFunctionTracker dense(3, 2.0, Backend::kDense);
+  for (int t = 1; t <= 3; ++t) dense.advance(q.f(t));
+  EXPECT_EQ(hex(dense.snapshot()),
+    "5253434b01000000010000005e00000000000000f88914410300000000000000"
+    "000000400102030000000000000003000000030000003e2afceddabf29409669"
+    "72ad38a624406a7baeb41b82204055e66da81ed11f403e2afceddabf29409669"
+    "72ad38a62040d3f65c69370411405599b7a17a44ff3f");
+
+  Lcp lcp;
+  lcp.reset(OnlineContext{8, 2.0});
+  for (int t = 1; t <= 6; ++t) lcp.decide(p.f_ptr(t), {});
+  EXPECT_EQ(hex(lcp.snapshot()),
+    "5253434b0100000002000000b6000000000000007e449e5d0004000000040000"
+    "000800000001a0000000000000005253434b0100000001000000880000000000"
+    "0000f77e7c250800000000000000000000400001060000000000000004000000"
+    "08000000000000000008000000764b3f2bd61341401ce5fb27f421f7bf020000"
+    "0004000000000000000000004007000000b962c97dff90f33f00000000000800"
+    "0000764b3f2bd61341408ef2fd13fa900bc00200000004000000000000000000"
+    "004007000000b962c97dff90f33f");
+
+  WindowedLcp windowed;
+  windowed.reset(OnlineContext{8, 2.0});
+  for (int t = 1; t <= 6; ++t) {
+    const std::vector<rs::core::CostPtr> lookahead = {p.f_ptr(t + 1),
+                                                      p.f_ptr(t + 2)};
+    windowed.decide(p.f_ptr(t), lookahead);
+  }
+  EXPECT_EQ(hex(windowed.snapshot()),
+    "5253434b0100000003000000c20000000000000094c51c8e0008000000000000"
+    "000000004004000000040000000700000001a0000000000000005253434b0100"
+    "0000010000008800000000000000f77e7c250800000000000000000000400001"
+    "06000000000000000400000008000000000000000008000000764b3f2bd61341"
+    "401ce5fb27f421f7bf0200000004000000000000000000004007000000b962c9"
+    "7dff90f33f000000000008000000764b3f2bd61341408ef2fd13fa900bc00200"
+    "000004000000000000000000004007000000b962c97dff90f33f");
+
+  const char* const tenant_hex[] = {
+    "5253434b0100000004000000f70000000000000001156b450500000000000000"
+    "00e6000000000000005253434b0100000002000000ce0000000000000077ba5a"
+    "660003000000020000000500000001b8000000000000005253434b0100000001"
+    "000000a00000000000000008d5a19b0800000000000000000000400001050000"
+    "0000000000020000000500000000000000000800000000000000004033400000"
+    "00000000f8bf0300000002000000000000000000f83f03000000000000000000"
+    "e03f050000000000000000000840000000000008000000000000000040334000"
+    "00000000000cc00300000002000000000000000000f83f030000000000000000"
+    "00e03f050000000000000000000840",
+    "5253434b010000000400000003010000000000009ce4df470500000000000000"
+    "00f2000000000000005253434b0100000003000000da00000000000000e33eaa"
+    "250008000000000000000000004005000000050000000500000001b800000000"
+    "0000005253434b0100000001000000a00000000000000008d5a19b0800000000"
+    "0000000000004000010500000000000000020000000500000000000000000800"
+    "00000000000000403340000000000000f8bf0300000002000000000000000000"
+    "f83f03000000000000000000e03f050000000000000000000840000000000008"
+    "00000000000000004033400000000000000cc003000000020000000000000000"
+    "00f83f03000000000000000000e03f050000000000000000000840"};
+  for (const int window : {0, 2}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    rs::fleet::TenantSession tenant(pinned_tenant_config(window), 0);
+    rs::core::CheckpointStore store;
+    for (const double lambda : {1.0, 3.0, 6.0, 2.0, 5.0, 7.0, 4.0}) {
+      ASSERT_TRUE(tenant.offer(lambda));
+    }
+    tenant.finish_stream();
+    for (int k = 0; k < 5; ++k) ASSERT_EQ(tenant.step(store), 1);
+    EXPECT_EQ(hex(tenant.snapshot_bytes()), tenant_hex[window == 0 ? 0 : 1]);
+  }
+}
+
+// Re-encodes a PWL tracker's snapshot field by field, passing each form's
+// increments through `edit` first (the writer side of read_pwl's layout).
+std::vector<std::uint8_t> reencoded_tracker(
+    const WorkFunctionTracker& t,
+    const std::function<void(ConvexPwl::SlopeIncrements&)>& edit) {
+  CheckpointWriter w;
+  w.i32(t.max_servers());
+  w.f64(t.beta());
+  w.u8(static_cast<std::uint8_t>(t.backend()));
+  w.u8(1);  // Mode::kPwl
+  w.i64(t.tau());
+  w.i32(t.x_lower());
+  w.i32(t.x_upper());
+  for (const ConvexPwl* f : {&t.chat_lower_pwl(), &t.chat_upper_pwl()}) {
+    w.u8(0);
+    w.i32(f->lo());
+    w.i32(f->hi());
+    w.f64(f->value_lo());
+    w.f64(f->first_slope());
+    ConvexPwl::SlopeIncrements increments = f->slope_increments();
+    edit(increments);
+    w.u32(static_cast<std::uint32_t>(increments.size()));
+    for (const auto& [position, increment] : increments) {
+      w.i32(position);
+      w.f64(increment);
+    }
+  }
+  return w.seal(rs::core::kTrackerCheckpointKind);
+}
+
+WorkFunctionTracker pwl_tracker_with_kinks() {
+  const Problem p = hinge_problem(8, 2.0, 12, 15);
+  WorkFunctionTracker tracker(8, 2.0, Backend::kPwl);
+  for (int t = 1; t <= 6; ++t) tracker.advance(p.f(t));
+  return tracker;
+}
+
+TEST(TrackerCheckpoint, AcceptsOutOfOrderUniqueIncrementPositions) {
+  const WorkFunctionTracker t = pwl_tracker_with_kinks();
+  ASSERT_GE(t.chat_lower_pwl().slope_increments().size() +
+                t.chat_upper_pwl().slope_increments().size(),
+            3u);
+  const auto reverse = [](ConvexPwl::SlopeIncrements& increments) {
+    std::reverse(increments.begin(), increments.end());
+  };
+  // The format never required ascending positions on the wire: a restore
+  // sorts them, and the restored tracker re-snapshots to the canonical
+  // bytes.
+  const WorkFunctionTracker restored =
+      WorkFunctionTracker::restore(reencoded_tracker(t, reverse));
+  EXPECT_EQ(restored.snapshot(), t.snapshot());
+}
+
+TEST(TrackerCheckpoint, RejectsDuplicateIncrementPosition) {
+  const WorkFunctionTracker t = pwl_tracker_with_kinks();
+  const auto duplicate = [](ConvexPwl::SlopeIncrements& increments) {
+    if (!increments.empty()) increments.push_back(increments.front());
+  };
+  try {
+    WorkFunctionTracker::restore(reencoded_tracker(t, duplicate));
+    FAIL() << "duplicate increment position accepted";
+  } catch (const CheckpointFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate PWL increment position"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
