@@ -29,7 +29,7 @@ void BM_WindowedLcpDecide(benchmark::State& state) {
   const int w = static_cast<int>(state.range(1));
   const rs::core::Problem p = make_instance(512, m);
   for (auto _ : state) {
-    rs::online::WindowedLcp lcp;
+    rs::online::Lcp lcp(rs::online::Lcp::Backend::kAuto, w);
     benchmark::DoNotOptimize(rs::online::run_online(lcp, p, w).back());
   }
   state.SetItemsProcessed(state.iterations() * p.horizon());

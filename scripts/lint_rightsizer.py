@@ -30,7 +30,8 @@ shipped or explicitly guards against:
                             A node-based standard container (std::map, set,
                             multimap, multiset, list, forward_list,
                             unordered_*) in the allocation-free PWL kernels
-                            (src/core/convex_pwl.*, src/online/lcp_window.*):
+                            (src/core/convex_pwl.*, src/online/lcp.* and
+                            src/online/lcp_window.*):
                             every insert is a heap node, and the per-slot
                             path there must not allocate (test_alloc_free).
                             Deliberate uses carry
@@ -144,7 +145,8 @@ NODE_CONTAINER = re.compile(
     r"\s*<")
 # The per-slot kernels that must stay free of node containers (RS005).
 ALLOC_FREE_KERNELS = re.compile(
-    r"(?:^|/)src/(?:core/convex_pwl|online/lcp_window)\.(?:cpp|hpp)$")
+    r"(?:^|/)src/(?:core/convex_pwl|online/lcp|online/lcp_window)"
+    r"\.(?:cpp|hpp)$")
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -349,6 +351,9 @@ SELF_TESTS = (
     ("RS005 fires on an unordered container in the windowed kernel",
      "std::unordered_map<const void*, int> memo;\n",
      "RS005", True, "src/online/lcp_window.cpp"),
+    ("RS005 fires on a node container in the windowed Lcp step",
+     "std::map<const void*, rs::core::ConvexPwl> form_cache_;\n",
+     "RS005", True, "src/online/lcp.cpp"),
     ("RS005 quiet on the flat vector",
      "class ConvexPwl {\n"
      "  std::vector<std::pair<int, double>> dslope_;\n"

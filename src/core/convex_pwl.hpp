@@ -35,8 +35,9 @@
 // copy-assignment into an existing function reuses its capacity too.  So a
 // long-lived function — a tracker's Ĉ pair, a session's scratch — stops
 // touching the heap once its array has reached the largest K it sees: the
-// warm per-slot path of the tracker, Lcp::decide_run and the windowed
-// tenant step is allocation-free (tests/test_alloc_free.cpp counts it).
+// warm per-slot path of the tracker, Lcp::decide_run and the windowed Lcp
+// step (standalone or in a fleet tenant) is allocation-free
+// (tests/test_alloc_free.cpp counts it).
 //
 // Numerical contract: operations mirror the dense kernels' extended-real
 // arithmetic but accumulate values in a different association order, so

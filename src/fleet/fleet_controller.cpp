@@ -212,14 +212,7 @@ std::uint64_t FleetController::dropped_events() const {
 
 void FleetController::drain_tenant_events_locked() const {
   for (const auto& session : tenants_) {
-    dropped_events_ += session->take_dropped_events();
-    for (FleetEvent& event : session->drain_events()) {
-      if (events_.size() >= options_.max_events) {
-        ++dropped_events_;
-        continue;
-      }
-      events_.push_back(std::move(event));
-    }
+    dropped_events_ += session->drain_events_into(events_, options_.max_events);
   }
 }
 

@@ -49,7 +49,7 @@ struct FleetOptions {
   /// Per-tick wall-clock budget in seconds; 0 = unlimited.  Once exceeded,
   /// tenants not yet started this tick are deferred (never mid-slot).
   double tick_budget_seconds = 0.0;
-  /// Controller event-log bound; past it the oldest are dropped (counted).
+  /// Controller event-log bound; past it new events are dropped (counted).
   std::size_t max_events = 4096;
 };
 

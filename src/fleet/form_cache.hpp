@@ -13,7 +13,7 @@
 // recycled by a later allocation.  Consumers (TenantSession::offer_run)
 // attach the cached form to the queued entry.  Plain tenants feed it
 // through Lcp::decide_run(ConvexPwl); windowed tenants hand the revealed
-// slot's form and their lookahead's forms to WindowedLcp::decide, so a
+// slot's form and their lookahead's forms to Lcp::decide, so a
 // windowed step neither converts nor copies a form.  Both are
 // bit-identical to the CostFunction paths on the PWL path (the session
 // would derive the identical forms itself under the same budget).

@@ -20,10 +20,10 @@ namespace rs::fleet {
 namespace {
 
 // Per-tenant event buffer cap: enough for any drill's transition history;
-// past it the oldest events drop (counted, never silently).
+// past it new events drop (counted, never silently).
 constexpr std::size_t kMaxPendingEvents = 256;
 
-void validate_config(const TenantConfig& config) {
+TenantConfig validated(TenantConfig config) {
   if (config.name.empty()) {
     throw std::invalid_argument("TenantConfig: name must be non-empty");
   }
@@ -58,6 +58,7 @@ void validate_config(const TenantConfig& config) {
     throw std::invalid_argument(
         "TenantConfig: what_if probes require window == 0");
   }
+  return config;
 }
 
 }  // namespace
@@ -114,8 +115,10 @@ const char* to_string(FleetEventKind kind) noexcept {
 
 TenantSession::TenantSession(TenantConfig config, std::size_t ordinal,
                              rs::core::CheckpointStore* resume_from)
-    : config_(std::move(config)), ordinal_(ordinal) {
-  validate_config(config_);
+    : config_(validated(std::move(config))),
+      ordinal_(ordinal),
+      lcp_(config_.backend, config_.window) {
+  lcp_.enable_what_if(config_.what_if_slots);
   reset_session_locked();
   if (resume_from == nullptr) return;
   const std::optional<std::vector<std::uint8_t>> saved =
@@ -123,19 +126,15 @@ TenantSession::TenantSession(TenantConfig config, std::size_t ordinal,
   if (!saved.has_value()) return;
   try {
     TenantCheckpoint ck = decode_checkpoint(*saved);
-    const rs::online::OnlineContext context{config_.m, config_.beta};
-    if (lcp_ != nullptr) {
-      lcp_->restore(context, ck.session);
-    } else {
-      windowed_->restore(context, ck.session);
-    }
+    lcp_.restore(rs::online::OnlineContext{config_.m, config_.beta},
+                 ck.session);
     stats_.steps = ck.steps;
     stats_.degraded_to_dense = ck.degraded;
     set_state_locked(ck.degraded ? TenantState::kDegraded
                                  : TenantState::kHealthy,
                      "TenantSession::TenantSession/resume");
     resume_steps_ = ck.steps;
-    resume_state_ = lcp_ != nullptr ? lcp_->current_state() : 0;
+    resume_state_ = lcp_.current_state();
     emit_locked(FleetEventKind::kResumed,
                 "restored " + std::to_string(ck.steps) +
                     " decided slots from the checkpoint store");
@@ -321,8 +320,7 @@ int TenantSession::step(rs::core::CheckpointStore& store) {
     try {
       recover_locked(store, failure);
       if (fail_streak_ >= config_.degrade_after &&
-          !stats_.degraded_to_dense && lcp_ != nullptr &&
-          lcp_->degrade_to_dense()) {
+          !stats_.degraded_to_dense && lcp_.degrade_to_dense()) {
         // Dense rung taken: checkpoint immediately so every future
         // recovery restores a snapshot whose tracker mode matches the mode
         // the replay-buffer slots were (and will be) decided in.
@@ -345,7 +343,7 @@ int TenantSession::decide_front_locked() {
   if (rs::util::fault_fires(rs::util::FaultSite::kFleetTick, index)) {
     throw rs::engine::BackendFailureError("injected fault: fleet tick");
   }
-  if (windowed_ != nullptr) gather_lookahead_locked(replay_.size(), 1);
+  gather_lookahead_locked(replay_.size(), 1);
   return session_decide_locked(queue_.front());
 }
 
@@ -357,31 +355,30 @@ int TenantSession::session_decide_locked(const QueueEntry& entry) {
     lower_scratch_.resize(need);
     upper_scratch_.resize(need);
   }
-  if (lcp_ != nullptr) {
-    // Consume the shared cached form only while the tracker is on (or can
-    // still choose) the PWL path: there decide_run(ConvexPwl) is
-    // bit-identical to the CostFunction overload (the tracker would derive
-    // the identical form).  After a dense fallback the CostFunction path
-    // evaluates rows directly, so forms are bypassed.  The gate re-evaluates
-    // identically during recovery replay — the restored tracker is in the
-    // mode the slot was originally decided in.
-    const rs::offline::WorkFunctionTracker* tracker = lcp_->tracker();
-    const bool pwl_path =
-        tracker != nullptr && (tracker->using_pwl() || tracker->tau() == 0);
-    if (entry.form != nullptr && pwl_path) {
-      lcp_->decide_run(*entry.form, entry.count, decisions_scratch_,
-                       lower_scratch_, upper_scratch_);
-    } else {
-      lcp_->decide_run(*entry.cost, entry.count, decisions_scratch_,
-                       lower_scratch_, upper_scratch_);
-    }
-    return entry.count;
+  if (config_.window > 0) {
+    // Windowed entries are single slots (offer_run expands runs); the
+    // session applies the same form gate to the slot and its lookahead.
+    decisions_scratch_[0] = lcp_.decide(entry.cost, lookahead_costs_,
+                                        entry.form.get(), lookahead_forms_);
+    lower_scratch_[0] = lcp_.last_lower();
+    upper_scratch_[0] = lcp_.last_upper();
+    return 1;
   }
-  decisions_scratch_[0] = windowed_->decide(
-      entry.cost, lookahead_costs_, entry.form.get(), lookahead_forms_);
-  lower_scratch_[0] = windowed_->last_lower();
-  upper_scratch_[0] = windowed_->last_upper();
-  return 1;
+  // Consume the shared cached form only while the session's PWL path is
+  // open: there decide_run(ConvexPwl) is bit-identical to the CostFunction
+  // overload (the tracker would derive the identical form).  After a dense
+  // fallback or degradation the CostFunction path evaluates rows directly,
+  // so forms are bypassed.  The gate re-evaluates identically during
+  // recovery replay — the restored tracker is in the mode the slot was
+  // originally decided in.
+  if (entry.form != nullptr && lcp_.pwl_path_open()) {
+    lcp_.decide_run(*entry.form, entry.count, decisions_scratch_,
+                    lower_scratch_, upper_scratch_);
+  } else {
+    lcp_.decide_run(*entry.cost, entry.count, decisions_scratch_,
+                    lower_scratch_, upper_scratch_);
+  }
+  return entry.count;
 }
 
 void TenantSession::commit_front_locked(int advanced,
@@ -424,12 +421,8 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
       store.latest(store_key());
   if (saved.has_value()) {
     const TenantCheckpoint ck = decode_checkpoint(*saved);
-    const rs::online::OnlineContext context{config_.m, config_.beta};
-    if (lcp_ != nullptr) {
-      lcp_->restore(context, ck.session);
-    } else {
-      windowed_->restore(context, ck.session);
-    }
+    lcp_.restore(rs::online::OnlineContext{config_.m, config_.beta},
+                 ck.session);
   }
   // Replay the gap between the restored checkpoint and the failure point.
   // No fault sites are consulted here: recovery itself is deterministic,
@@ -438,7 +431,7 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
   std::size_t pos = schedule_.size() -
                     static_cast<std::size_t>(slots_since_checkpoint_);
   for (std::size_t i = 0; i < replay_.size(); ++i) {
-    if (windowed_ != nullptr) gather_lookahead_locked(i + 1, 0);
+    gather_lookahead_locked(i + 1, 0);
     const int n = session_decide_locked(replay_[i]);
     for (int k = 0; k < n; ++k) {
       const std::size_t j = static_cast<std::size_t>(k);
@@ -455,17 +448,7 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
 }
 
 void TenantSession::reset_session_locked() {
-  const rs::online::OnlineContext context{config_.m, config_.beta};
-  if (config_.window > 0) {
-    lcp_.reset();
-    windowed_ = std::make_unique<rs::online::WindowedLcp>(config_.backend);
-    windowed_->reset(context);
-  } else {
-    windowed_.reset();
-    lcp_ = std::make_unique<rs::online::Lcp>(config_.backend);
-    if (config_.what_if_slots > 0) lcp_->enable_what_if(config_.what_if_slots);
-    lcp_->reset(context);
-  }
+  lcp_.reset(rs::online::OnlineContext{config_.m, config_.beta});
 }
 
 void TenantSession::gather_lookahead_locked(std::size_t replay_from,
@@ -508,11 +491,7 @@ std::vector<std::uint8_t> TenantSession::snapshot_bytes_locked() const {
   rs::core::CheckpointWriter writer;
   writer.u64(stats_.steps);
   writer.u8(stats_.degraded_to_dense ? 1 : 0);
-  if (lcp_ != nullptr) {
-    lcp_->write_snapshot(writer);
-  } else {
-    windowed_->write_snapshot(writer);
-  }
+  lcp_.write_snapshot(writer);
   return std::move(writer).seal(rs::core::kTenantCheckpointKind);
 }
 
@@ -544,10 +523,10 @@ void TenantSession::note_deferred() {
 std::optional<WhatIfResult> TenantSession::what_if(int slot,
                                                    double lambda) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (lcp_ == nullptr || config_.what_if_slots <= 0) return std::nullopt;
+  if (config_.what_if_slots <= 0) return std::nullopt;
   if (state_ == TenantState::kQuarantined) return std::nullopt;
   if (!std::isfinite(lambda) || lambda < 0.0) return std::nullopt;
-  const rs::offline::WorkFunctionTracker* live = lcp_->tracker();
+  const rs::offline::WorkFunctionTracker* live = lcp_.tracker();
   if (live == nullptr || !live->rewind_covers(slot)) return std::nullopt;
   try {
     const rs::core::CostPtr cost = config_.cost_of(lambda);
@@ -707,17 +686,19 @@ std::vector<int> TenantSession::upper_bounds() const {
   return upper_;
 }
 
-std::vector<FleetEvent> TenantSession::drain_events() {
+std::uint64_t TenantSession::drain_events_into(std::vector<FleetEvent>& log,
+                                               std::size_t cap) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<FleetEvent> out;
-  out.swap(events_);
-  return out;
-}
-
-std::uint64_t TenantSession::take_dropped_events() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t dropped = dropped_events_;
+  std::uint64_t dropped = dropped_events_;
   dropped_events_ = 0;
+  for (FleetEvent& event : events_) {
+    if (log.size() >= cap) {
+      ++dropped;
+      continue;
+    }
+    log.push_back(std::move(event));
+  }
+  events_.clear();
   return dropped;
 }
 

@@ -1,7 +1,7 @@
 // One fleet tenant: a long-lived LCP serving session wrapped in a fault
 // domain (DESIGN.md §11).
 //
-// A tenant owns an Lcp (window = 0) or WindowedLcp (window > 0) session, a
+// A tenant owns one Lcp session (its window w = TenantConfig::window), a
 // bounded ingest queue of λ samples, and a replay buffer of everything
 // decided since its last checkpoint.  The contract robustness rests on:
 //
@@ -16,10 +16,11 @@
 //     — decisions and corridor bounds stay bit-identical to an undisturbed
 //     run (the chaos drill pins this);
 //   * a degradation ladder — after `degrade_after` consecutive failed
-//     attempts a kAuto/kDense session is pinned to the dense streaming
-//     backend (one typed kDegradedToDense event + an immediate checkpoint,
-//     so later recoveries replay in the right mode); recoveries exhausted
-//     on both rungs end in quarantine, never a wedged controller.
+//     attempts a kAuto/kDense session, of any window, is pinned to the
+//     dense streaming backend (one typed kDegradedToDense event + an
+//     immediate checkpoint, so later recoveries replay in the right mode);
+//     recoveries exhausted on both rungs end in quarantine, never a wedged
+//     controller.
 //
 // Every public member takes the tenant mutex, so a checkpoint taken from
 // the controller thread while the session is mid-advance_repeated
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,7 +44,6 @@
 #include "core/schedule.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 
 namespace rs::fleet {
 
@@ -129,8 +130,8 @@ struct TenantConfig {
   std::string name;
   int m = 0;
   double beta = 1.0;
-  /// 0 = plain Lcp; w > 0 = WindowedLcp deciding each slot with the next w
-  /// queued samples as its prediction window.
+  /// The session's Lcp window: 0 = plain LCP; w > 0 decides each slot with
+  /// the next w queued samples as its prediction window.
   int window = 0;
   rs::offline::WorkFunctionTracker::Backend backend =
       rs::offline::WorkFunctionTracker::Backend::kAuto;
@@ -274,12 +275,14 @@ class TenantSession {
   std::vector<int> lower_bounds() const;
   std::vector<int> upper_bounds() const;
 
-  /// Drains this tenant's pending typed events (bounded; oldest dropped
-  /// past the cap, counted in the controller's dropped-events tally).
-  std::vector<FleetEvent> drain_events();
-
-  /// Returns and clears the count of events dropped past the buffer cap.
-  std::uint64_t take_dropped_events();
+  /// Moves this tenant's pending typed events, oldest first, onto the end
+  /// of `log` while log.size() < cap, and returns the events dropped: those
+  /// that did not fit, plus those this tenant's own bounded buffer refused
+  /// since the last drain.  The buffer is cleared in place and keeps its
+  /// capacity, so a warm tenant emits without allocating.
+  std::uint64_t drain_events_into(
+      std::vector<FleetEvent>& log,
+      std::size_t cap = std::numeric_limits<std::size_t>::max());
 
   /// Deep session-consistency audit (util/audit.hpp; DESIGN.md §13):
   /// quarantine state and reason agree (and a quarantined tenant holds no
@@ -301,7 +304,7 @@ class TenantSession {
     // cache is absent/full or the cost has no compact form).  Replay
     // entries carry the same pointer, so a recovery consumes the identical
     // input and stays bit-identical.  Windowed tenants pass the forms of
-    // the revealed slot and its lookahead to WindowedLcp as they are.
+    // the revealed slot and its lookahead to Lcp::decide as they are.
     std::shared_ptr<const rs::core::ConvexPwl> form;
   };
 
@@ -333,9 +336,8 @@ class TenantSession {
   TenantConfig config_;
   std::size_t ordinal_ = 0;
 
-  // Exactly one of the two sessions is live, chosen by config_.window.
-  std::unique_ptr<rs::online::Lcp> lcp_;
-  std::unique_ptr<rs::online::WindowedLcp> windowed_;
+  // The serving session, built from config_.backend and config_.window.
+  rs::online::Lcp lcp_;
 
   std::deque<QueueEntry> queue_;
   std::size_t queued_slots_ = 0;

@@ -43,18 +43,6 @@ WorkFunctionTracker make_base_tracker(int m, double beta,
 
 }  // namespace
 
-WorkFunctionTracker::Backend DpDeltaSession::tracker_backend() const noexcept {
-  switch (backend_) {
-    case Backend::kDense:
-      return WorkFunctionTracker::Backend::kDense;
-    case Backend::kPwl:
-      return WorkFunctionTracker::Backend::kPwl;
-    case Backend::kAuto:
-      break;
-  }
-  return WorkFunctionTracker::Backend::kAuto;
-}
-
 DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
     : m_(p.max_servers()),
       beta_(p.beta()),
@@ -65,15 +53,14 @@ DpDeltaSession::DpDeltaSession(const rs::core::Problem& p, Backend backend)
         for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
         return costs;
       }()),
-      tracker_(make_base_tracker(m_, beta_, tracker_backend(), costs_,
-                                 bounds_)) {
+      tracker_(make_base_tracker(m_, beta_, backend_, costs_, bounds_)) {
   cost_ = tracker_.chat_lower(tracker_.x_lower());
 }
 
 void DpDeltaSession::rebuild() {
   BoundTrajectory bounds;
   WorkFunctionTracker fresh =
-      make_base_tracker(m_, beta_, tracker_backend(), costs_, bounds);
+      make_base_tracker(m_, beta_, backend_, costs_, bounds);
   tracker_ = std::move(fresh);
   bounds_ = std::move(bounds);
   cost_ = tracker_.chat_lower(tracker_.x_lower());

@@ -32,10 +32,10 @@ namespace rs::offline {
 
 class DpDeltaSession {
  public:
-  /// Which label representation carries the session; maps onto
-  /// WorkFunctionTracker::Backend (kAuto = PWL while every slot converts
-  /// compactly, dense after the first that does not).
-  enum class Backend { kDense, kPwl, kAuto };
+  /// Which label representation carries the session — the tracker's own
+  /// backend (kAuto = PWL while every slot converts compactly, dense after
+  /// the first that does not).
+  using Backend = WorkFunctionTracker::Backend;
 
   /// Per-edit repair statistics.
   struct DeltaStats {
@@ -81,7 +81,6 @@ class DpDeltaSession {
                             DeltaStats* stats = nullptr);
 
  private:
-  WorkFunctionTracker::Backend tracker_backend() const noexcept;
   void rebuild();  // full from-scratch solve of costs_; strong guarantee
 
   int m_;

@@ -140,8 +140,8 @@ class WorkFunctionTracker {
 
   /// Appends the snapshot() envelope to `w` as a nested checkpoint
   /// (CheckpointWriter::begin_nested): the bytes of u64(snapshot().size())
-  /// then snapshot(), written in place — how the Lcp and WindowedLcp
-  /// checkpoints embed their tracker without an intermediate buffer.
+  /// then snapshot(), written in place — how the Lcp checkpoints (either
+  /// window) embed their tracker without an intermediate buffer.
   void write_snapshot(rs::core::CheckpointWriter& w) const;
 
   /// Reconstructs a tracker from snapshot() bytes.  Rejects malformed,
@@ -151,12 +151,17 @@ class WorkFunctionTracker {
   /// invariants, NaN-free labels) so no checkpoint can construct a broken
   /// tracker.  Callers restoring into a known instance should additionally
   /// check max_servers()/beta() against it (the session-level restores in
-  /// online/lcp*.hpp do, throwing CheckpointMismatchError).
+  /// online/lcp.hpp does, throwing CheckpointMismatchError).
   static WorkFunctionTracker restore(std::span<const std::uint8_t> bytes);
 
   /// True while the PWL backend is live (false before the first advance
   /// and after any fallback to dense).
   bool using_pwl() const noexcept { return mode_ == Mode::kPwl; }
+
+  /// True once the dense backend is live: after a fallback, after
+  /// ensure_dense_backend() (even before the first advance), and always
+  /// after an advance on a kDense tracker.
+  bool using_dense() const noexcept { return mode_ == Mode::kDense; }
 
   /// Live breakpoints of Ĉ^L (0 on the dense backend); diagnostics for the
   /// K-vs-m scaling story.

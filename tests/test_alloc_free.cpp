@@ -3,9 +3,10 @@
 // This binary replaces the global operator new with a counting one, so it
 // is its own executable.  It asserts that, once warm, the convex-PWL
 // tracker advance, the repeated-slot advance, Lcp::decide_run on a cached
-// form, WindowedLcp's shared-form decide and a fleet tick touch the heap
-// zero times, and that a tenant checkpoint costs at most three
-// allocations.  Counts only: nothing here measures time.
+// form, the windowed Lcp's shared-form decide and a fleet tick touch the
+// heap zero times, that a tenant checkpoint costs at most three
+// allocations, and that its checkpoint event costs none beyond them.
+// Counts only: nothing here measures time.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,12 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_store.hpp"
 #include "core/convex_pwl.hpp"
 #include "core/cost_function.hpp"
 #include "fleet/fleet_controller.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "scenario/trace_zoo.hpp"
 #include "util/rng.hpp"
 
@@ -208,7 +209,7 @@ TEST(AllocFree, WindowedLcpDecideOnSharedForms) {
   const std::vector<CostPtr> costs = slot_costs();
   const std::vector<ConvexPwl> forms = slot_forms();
   const std::vector<int> seq = slot_sequence(kWarm + kMeasured + kWindow, 4);
-  rs::online::WindowedLcp session;
+  rs::online::Lcp session(Backend::kAuto, kWindow);
   session.reset(rs::online::OnlineContext{kM, kBeta});
   std::vector<CostPtr> lookahead(kWindow);
   std::vector<const ConvexPwl*> lookahead_forms(kWindow);
@@ -224,6 +225,44 @@ TEST(AllocFree, WindowedLcpDecideOnSharedForms) {
     for (int t = kWarm; t < kWarm + kMeasured; ++t) step(t);
   });
   EXPECT_EQ(n, 0u);
+}
+
+// A warm tenant's checkpoint emits one kCheckpointed event.  Emitting it
+// and draining it into a warm log must cost nothing beyond the snapshot
+// bytes themselves: the tenant's event buffer keeps its capacity across
+// drains.
+TEST(AllocFree, CheckpointEventAddsNothingToTheSnapshot) {
+  const std::vector<CostPtr> costs = slot_costs();
+  rs::fleet::TenantConfig config;
+  config.name = "events";
+  config.m = kM;
+  config.beta = kBeta;
+  config.cost_of = [&costs](double lambda) {
+    return costs[static_cast<std::size_t>(lambda) % costs.size()];
+  };
+  rs::fleet::TenantSession tenant(config, 0);
+  rs::core::CheckpointStore store;
+  std::vector<rs::fleet::FleetEvent> log;
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(tenant.offer(static_cast<double>(k)));
+    ASSERT_EQ(tenant.step(store), 1);
+    tenant.checkpoint_now(store);
+    log.clear();
+    tenant.drain_events_into(log);
+  }
+  const std::uint64_t snapshot =
+      allocations_in([&] { (void)tenant.snapshot_bytes(); });
+  log.clear();
+  std::uint64_t dropped = 0;
+  const std::uint64_t checkpoint = allocations_in([&] {
+    tenant.checkpoint_now(store);
+    dropped = tenant.drain_events_into(log);
+  });
+  EXPECT_GT(snapshot, 0u);
+  EXPECT_EQ(checkpoint, snapshot);
+  EXPECT_EQ(dropped, 0u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.front().kind, rs::fleet::FleetEventKind::kCheckpointed);
 }
 
 // A mixed fleet like the serving benchmark's: plain and windowed (w = 4)

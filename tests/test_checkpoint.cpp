@@ -3,7 +3,7 @@
 // the kill-and-resume property — a session snapshotted at any slot t,
 // destroyed, and restored continues bitwise-identically (schedule, corridor
 // bounds, cost) to the uninterrupted run, on both backends, including
-// WindowedLcp mid-window and trackers snapshotted mid-advance_repeated.
+// windowed Lcp mid-window and trackers snapshotted mid-advance_repeated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 #include "fleet/tenant.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "scenario/trace_zoo.hpp"
 #include "util/fault_injection.hpp"
 #include "util/math_util.hpp"
@@ -48,7 +47,6 @@ using rs::core::Problem;
 using rs::offline::WorkFunctionTracker;
 using rs::online::Lcp;
 using rs::online::OnlineContext;
-using rs::online::WindowedLcp;
 using rs::util::corrupt_bit;
 using rs::util::truncate_bytes;
 using Backend = WorkFunctionTracker::Backend;
@@ -597,7 +595,7 @@ TEST(LcpCheckpoint, CorruptedSessionBytesRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedLcp: mid-window resume
+// Windowed Lcp: mid-window resume
 // ---------------------------------------------------------------------------
 
 SessionRun run_windowed_with_crash(const Problem& p, Backend backend,
@@ -609,13 +607,13 @@ SessionRun run_windowed_with_crash(const Problem& p, Backend backend,
   for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
 
   SessionRun run;
-  auto session = std::make_unique<WindowedLcp>(backend);
+  auto session = std::make_unique<Lcp>(backend, window);
   session->reset(context);
   for (int t = 1; t <= p.horizon(); ++t) {
     if (split != 0 && t == split + 1) {
       const std::vector<std::uint8_t> bytes = session->snapshot();
       session.reset();
-      session = std::make_unique<WindowedLcp>(backend);
+      session = std::make_unique<Lcp>(backend, window);
       session->restore(context, bytes);
     }
     const std::size_t begin = static_cast<std::size_t>(t);
@@ -660,7 +658,7 @@ TEST(WindowedLcpCheckpoint, MidWindowResumeBitwise) {
 
 TEST(WindowedLcpCheckpoint, RestoreRejectsMismatchedTarget) {
   const Problem p = hinge_problem(10, 2.0, 20, 20);
-  WindowedLcp session(Backend::kAuto);
+  Lcp session(Backend::kAuto, /*window=*/3);
   session.reset(OnlineContext{10, 2.0});
   std::vector<rs::core::CostPtr> costs;
   for (int t = 1; t <= p.horizon(); ++t) costs.push_back(p.f_ptr(t));
@@ -670,16 +668,24 @@ TEST(WindowedLcpCheckpoint, RestoreRejectsMismatchedTarget) {
                                                       std::min(3, 20 - t)));
   }
   const std::vector<std::uint8_t> bytes = session.snapshot();
-  WindowedLcp target(Backend::kAuto);
+  Lcp target(Backend::kAuto, /*window=*/3);
   EXPECT_THROW(target.restore(OnlineContext{9, 2.0}, bytes),
                CheckpointMismatchError);
   EXPECT_THROW(target.restore(OnlineContext{10, 1.0}, bytes),
                CheckpointMismatchError);
-  WindowedLcp wrong_backend(Backend::kDense);
+  Lcp wrong_backend(Backend::kDense, /*window=*/3);
   EXPECT_THROW(wrong_backend.restore(OnlineContext{10, 2.0}, bytes),
                CheckpointMismatchError);
   Lcp not_windowed(Backend::kAuto);
   EXPECT_THROW(not_windowed.restore(OnlineContext{10, 2.0}, bytes),
+               CheckpointFormatError);  // kind tag mismatch
+  // And the reverse: a plain-LCP (0x02) blob into a windowed session.
+  Lcp plain(Backend::kAuto);
+  plain.reset(OnlineContext{10, 2.0});
+  for (int t = 1; t <= 10; ++t) {
+    plain.decide(costs[static_cast<std::size_t>(t - 1)], {});
+  }
+  EXPECT_THROW(target.restore(OnlineContext{10, 2.0}, plain.snapshot()),
                CheckpointFormatError);  // kind tag mismatch
 }
 
@@ -746,7 +752,7 @@ TEST(CheckpointBytes, SnapshotsOfEveryKindArePinned) {
     "0000764b3f2bd61341408ef2fd13fa900bc00200000004000000000000000000"
     "004007000000b962c97dff90f33f");
 
-  WindowedLcp windowed;
+  Lcp windowed(Backend::kAuto, /*window=*/2);
   windowed.reset(OnlineContext{8, 2.0});
   for (int t = 1; t <= 6; ++t) {
     const std::vector<rs::core::CostPtr> lookahead = {p.f_ptr(t + 1),

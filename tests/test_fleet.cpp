@@ -259,8 +259,9 @@ TEST(FleetTenant, OverflowPoliciesBoundTheQueue) {
     EXPECT_EQ(session.queue_depth(), 4u);
     while (session.due()) session.step(store);
     EXPECT_EQ(session.schedule().size(), 4u);
-    EXPECT_TRUE(has_event(session.drain_events(), 0,
-                          FleetEventKind::kOverflow));
+    std::vector<FleetEvent> events;
+    EXPECT_EQ(session.drain_events_into(events), 0u);
+    EXPECT_TRUE(has_event(events, 0, FleetEventKind::kOverflow));
   }
 
   {  // kDropOldest: newest-wins — the tail of the stream survives.
@@ -519,6 +520,50 @@ TEST(FleetLadder, PersistentFailuresDegradeThenQuarantine) {
   EXPECT_TRUE(has_event(events, a, FleetEventKind::kDegradedToDense));
   EXPECT_FALSE(fleet.tenant(p).stats().degraded_to_dense);
   EXPECT_FALSE(has_event(events, p, FleetEventKind::kDegradedToDense));
+}
+
+// The dense rung serves windowed tenants too: every failed attempt
+// degrades (degrade_after = 1), and on integer costs the dense windowed
+// step reproduces the undisturbed PWL run bit for bit.
+TEST(FleetLadder, WindowedTenantDegradesAndStaysBitIdentical) {
+  const int kSlots = 32;
+  const std::vector<double> trace = integer_trace(10, kSlots, 77);
+  const auto run = [&](bool faults) {
+    auto fleet = std::make_unique<FleetController>();
+    TenantConfig config = basic_config("windowed", 10);
+    config.window = 3;
+    config.backend = Backend::kAuto;
+    config.degrade_after = 1;
+    config.checkpoint_every = 4;
+    fleet->add_tenant(config);
+    for (double lambda : trace) EXPECT_TRUE(fleet->offer(0, lambda));
+    fleet->finish_streams();
+    if (faults) {
+      // Tick faults only: the samples are queued before the injector.
+      const ScopedFaultInjection guard(rs::scenario::make_injector(
+          FaultPlan{base_seed(), 3, PoisonKind::kNaN}));
+      fleet->run_until_drained();
+    } else {
+      fleet->run_until_drained();
+    }
+    return fleet;
+  };
+  const std::unique_ptr<FleetController> clean = run(false);
+  const std::unique_ptr<FleetController> disturbed = run(true);
+  SCOPED_TRACE("fault base seed " + std::to_string(base_seed()));
+
+  const TenantSession& tenant = disturbed->tenant(0);
+  ASSERT_EQ(tenant.state(), TenantState::kDegraded)
+      << tenant.stats().quarantine_reason;
+  EXPECT_TRUE(tenant.stats().degraded_to_dense);
+  EXPECT_TRUE(has_event(disturbed->events(), 0,
+                        FleetEventKind::kDegradedToDense));
+  EXPECT_GT(tenant.stats().recoveries, 0u);
+  EXPECT_FALSE(clean->tenant(0).stats().degraded_to_dense);
+  EXPECT_EQ(tenant.steps(), static_cast<std::uint64_t>(kSlots));
+  EXPECT_EQ(tenant.schedule(), clean->tenant(0).schedule());
+  EXPECT_EQ(tenant.lower_bounds(), clean->tenant(0).lower_bounds());
+  EXPECT_EQ(tenant.upper_bounds(), clean->tenant(0).upper_bounds());
 }
 
 // ---------------------------------------------------------------------------

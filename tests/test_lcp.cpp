@@ -4,8 +4,12 @@
 // at most 3) across instance families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "core/convex_pwl.hpp"
 #include "core/schedule.hpp"
 #include "offline/backward_solver.hpp"
 #include "offline/dp_solver.hpp"
@@ -188,7 +192,9 @@ TEST(WindowedLcp, ZeroWindowEqualsLcp) {
     const int m = static_cast<int>(rng.uniform_int(1, 8));
     const Problem p = rs::workload::random_instance(
         rng, InstanceFamily::kConvexTable, T, m, rng.uniform(0.3, 2.0));
-    WindowedLcp windowed;
+    // The windowed step fed no predictions (as at a stream's tail) is
+    // eq. 13 exactly.
+    Lcp windowed(Lcp::Backend::kAuto, /*window=*/1);
     EXPECT_EQ(run_online(windowed, p, /*window=*/0), run_lcp(p));
   }
 }
@@ -230,7 +236,7 @@ TEST(WindowedLcp, FullLookaheadStillThreeCompetitive) {
         rng, InstanceFamily::kQuadratic, T, m, rng.uniform(0.3, 2.0));
     const double optimal = dp.solve_cost(p);
     for (int w : {1, 3, T}) {
-      WindowedLcp windowed;
+      Lcp windowed(Lcp::Backend::kAuto, w);
       const Schedule x = run_online(windowed, p, w);
       EXPECT_LE(rs::core::total_cost(p, x), 3.0 * optimal + 1e-9)
           << "w=" << w;
@@ -246,10 +252,46 @@ TEST(WindowedLcp, LookaheadHelpsOnSpikeTrace) {
       {0.0, 1.0, 2.0}, {0.0, 1.0, 2.0}, {8.0, 4.0, 0.0},
       {0.0, 1.0, 2.0}, {0.0, 1.0, 2.0}};
   const Problem p = rs::core::make_table_problem(2, 1.0, rows);
-  WindowedLcp w0, w2;
+  Lcp w0(Lcp::Backend::kAuto, 0);
+  Lcp w2(Lcp::Backend::kAuto, 2);
   const double cost0 = rs::core::total_cost(p, run_online(w0, p, 0));
   const double cost2 = rs::core::total_cost(p, run_online(w2, p, 2));
   EXPECT_LE(cost2, cost0 + 1e-12);
+}
+
+TEST(WindowedLcp, DegradedBeforeTheFirstSlotRunsDense) {
+  // A fleet tenant can take the dense rung before its first slot.  From
+  // then on the windowed step must run the dense pass even when it is
+  // handed cached forms, exactly as a session pinned to kDense would.
+  rs::util::Rng rng(8);
+  const int w = 2;
+  const Problem p = rs::workload::random_instance(
+      rng, InstanceFamily::kAffineAbs, 12, 6, 1.5);
+  std::vector<rs::core::CostPtr> costs;
+  std::vector<rs::core::ConvexPwl> forms;
+  for (int t = 1; t <= p.horizon(); ++t) {
+    costs.push_back(p.f_ptr(t));
+    forms.push_back(*costs.back()->as_convex_pwl(p.max_servers()));
+  }
+  Lcp degraded(Lcp::Backend::kAuto, w);
+  degraded.reset(OnlineContext{p.max_servers(), p.beta()});
+  ASSERT_TRUE(degraded.degrade_to_dense());
+  EXPECT_FALSE(degraded.pwl_path_open());
+  Schedule x;
+  std::vector<const rs::core::ConvexPwl*> lookahead_forms;
+  for (std::size_t t = 0; t < costs.size(); ++t) {
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(w), costs.size() - t - 1);
+    lookahead_forms.clear();
+    for (std::size_t j = 1; j <= n; ++j) {
+      lookahead_forms.push_back(&forms[t + j]);
+    }
+    x.push_back(degraded.decide(
+        costs[t], std::span<const rs::core::CostPtr>(costs).subspan(t + 1, n),
+        &forms[t], lookahead_forms));
+  }
+  Lcp dense(Lcp::Backend::kDense, w);
+  EXPECT_EQ(x, run_online(dense, p, w));
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "offline/dp_solver.hpp"
 #include "online/gradient_flow.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/level_flow.hpp"
 #include "online/baselines.hpp"
 
@@ -128,7 +127,7 @@ TEST(WindowStretching, PreservesAdversaryStrengthAgainstWindowedLcp) {
   const rs::core::Problem stretched =
       stretch_for_window(base.problem, n * w);
 
-  rs::online::WindowedLcp windowed;
+  Lcp windowed(Lcp::Backend::kAuto, w);
   const rs::core::Schedule play =
       rs::online::run_online(windowed, stretched, w);
   const double algorithm_cost = rs::core::total_cost(stretched, play);

@@ -286,7 +286,8 @@ TEST(WindowedLcp, SlidingWindowConvertsEachSlotExactlyOnce) {
   // once as the revealed cost).
   for (int window : {1, 3, 5}) {
     const CountedInstance counted = counted_affine_instance(14, 8);
-    rs::online::WindowedLcp lcp;  // kAuto, PWL path throughout
+    rs::online::Lcp lcp(rs::offline::WorkFunctionTracker::Backend::kAuto,
+                        window);  // PWL path throughout
     const Schedule schedule =
         rs::online::run_online(lcp, counted.problem, window);
     EXPECT_EQ(schedule.size(), 14u);
@@ -306,10 +307,10 @@ TEST(WindowedLcp, SlidingCacheKeepsSchedulesIdentical) {
     const int m = static_cast<int>(rng.uniform_int(2, 9));
     const Problem p = integer_instance(rng, T, m, 1.0);
     for (int window : {0, 2, 4}) {
-      rs::online::WindowedLcp pwl_lcp(
-          rs::offline::WorkFunctionTracker::Backend::kPwl);
-      rs::online::WindowedLcp dense_lcp(
-          rs::offline::WorkFunctionTracker::Backend::kDense);
+      rs::online::Lcp pwl_lcp(rs::offline::WorkFunctionTracker::Backend::kPwl,
+                              window);
+      rs::online::Lcp dense_lcp(
+          rs::offline::WorkFunctionTracker::Backend::kDense, window);
       EXPECT_EQ(rs::online::run_online(pwl_lcp, p, window),
                 rs::online::run_online(dense_lcp, p, window))
           << "trial=" << trial << " w=" << window;

@@ -16,7 +16,6 @@
 #include "core/schedule.hpp"
 #include "offline/work_function.hpp"
 #include "online/lcp.hpp"
-#include "online/lcp_window.hpp"
 #include "online/online_algorithm.hpp"
 #include "scenario/rle.hpp"
 #include "util/rng.hpp"
@@ -310,8 +309,8 @@ TEST(RleReplay, WindowedLcpStraddlesRunBoundaries) {
 
   for (Backend backend : {Backend::kDense, Backend::kAuto, Backend::kPwl}) {
     for (int window : {1, 3, 7}) {
-      rs::online::WindowedLcp on_shared(backend);
-      rs::online::WindowedLcp on_unique(backend);
+      rs::online::Lcp on_shared(backend, window);
+      rs::online::Lcp on_unique(backend, window);
       EXPECT_EQ(rs::online::run_online(on_shared, shared, window),
                 rs::online::run_online(on_unique, unique, window))
           << "backend " << static_cast<int>(backend) << " window " << window;
