@@ -27,13 +27,14 @@ shipped or explicitly guards against:
                             dense row build.  Intentional fallbacks carry
                             `rs-lint: eval-row-ok`.
   RS005 node-container-in-kernel
-                            A node-based standard container (std::map, set,
-                            multimap, multiset, list, forward_list,
-                            unordered_*) in the allocation-free PWL kernels
-                            (src/core/convex_pwl.*, src/online/lcp.* and
-                            src/online/lcp_window.*):
-                            every insert is a heap node, and the per-slot
-                            path there must not allocate (test_alloc_free).
+                            A node-based or chunked standard container
+                            (std::map, set, multimap, multiset, list,
+                            forward_list, unordered_*, deque) in the
+                            allocation-free kernels (src/core/convex_pwl.*,
+                            src/online/lcp.*, src/online/lcp_window.* and
+                            src/fleet/tenant.*): inserts allocate nodes or
+                            chunks, and the per-slot path there must not
+                            allocate (test_alloc_free).
                             Deliberate uses carry
                             `rs-lint: node-container-ok (<why>)`.
 
@@ -141,12 +142,12 @@ FLOAT_EQ = re.compile(
 )
 CATCH_ALL = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
 NODE_CONTAINER = re.compile(
-    r"\bstd::(?:map|set|multimap|multiset|list|forward_list|unordered_\w+)"
-    r"\s*<")
+    r"\bstd::(?:map|set|multimap|multiset|list|forward_list|unordered_\w+"
+    r"|deque)\s*<")
 # The per-slot kernels that must stay free of node containers (RS005).
 ALLOC_FREE_KERNELS = re.compile(
-    r"(?:^|/)src/(?:core/convex_pwl|online/lcp|online/lcp_window)"
-    r"\.(?:cpp|hpp)$")
+    r"(?:^|/)src/(?:core/convex_pwl|online/lcp|online/lcp_window"
+    r"|fleet/tenant)\.(?:cpp|hpp)$")
 COST_SUBCLASS = re.compile(
     r"\bclass\s+(\w+)[^;{]*:\s*(?:public\s+)?(?:rs::core::)?CostFunction\b"
 )
@@ -232,7 +233,7 @@ def check_node_containers(path: str, raw: list[str], code: list[str],
         findings.append(Finding(
             path, i + 1, "RS005",
             f"node container '{match.group(0).rstrip('<').strip()}' in an "
-            "allocation-free PWL kernel: every insert is a heap node. Use "
+            "allocation-free kernel: its inserts allocate. Use "
             "flat storage, or annotate "
             f"'{OK_NODE_CONTAINER} (<why>)'"))
 
@@ -354,6 +355,11 @@ SELF_TESTS = (
     ("RS005 fires on a node container in the windowed Lcp step",
      "std::map<const void*, rs::core::ConvexPwl> form_cache_;\n",
      "RS005", True, "src/online/lcp.cpp"),
+    ("RS005 fires on a deque ingest queue in the fleet tenant",
+     "class TenantSession {\n"
+     "  std::deque<LogEntry> queue_;\n"
+     "};\n",
+     "RS005", True, "src/fleet/tenant.hpp"),
     ("RS005 quiet on the flat vector",
      "class ConvexPwl {\n"
      "  std::vector<std::pair<int, double>> dslope_;\n"

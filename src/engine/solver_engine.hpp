@@ -169,8 +169,8 @@ class SolverEngine {
     /// pool with N workers owned by this engine.
     std::size_t threads = 0;
     /// Materialize one shared DenseProblem per distinct Problem in a batch.
-    /// Off, jobs stream rows per solve (the naive baseline the throughput
-    /// benchmarks compare against).
+    /// Off, jobs stream rows per solve.  Only test_engine turns it off; the
+    /// field stays while perfbench's ladder still spells Options{1, true}.
     bool share_dense = true;
   };
 
@@ -201,10 +201,8 @@ class SolverEngine {
                 BatchStats* stats = nullptr) const;
 
   /// for_each with per-item wall times: fn(i)'s duration on its executing
-  /// worker lands in seconds[i] (seconds.size() >= n).  The fleet
-  /// controller's tick dispatch runs through here, so per-tenant step
-  /// times and the batch-level stats come from the same measurement
-  /// bracketing as every other engine entry point.
+  /// worker lands in seconds[i] (seconds.size() >= n), bracketed like the
+  /// batch-level stats.
   void for_each_timed(std::size_t n,
                       const std::function<void(std::size_t)>& fn,
                       std::span<double> seconds,

@@ -12,7 +12,7 @@ namespace rs::fleet {
 FleetController::FleetController(FleetOptions options)
     : options_(std::move(options)),
       store_(options_.checkpoint_dir),
-      engine_(rs::engine::SolverEngine::Options{options_.threads, true}) {
+      engine_(rs::engine::SolverEngine::Options{.threads = options_.threads}) {
   if (options_.tick_budget_seconds < 0.0) {
     throw std::invalid_argument(
         "FleetOptions: tick_budget_seconds must be >= 0");
@@ -94,9 +94,8 @@ TickReport FleetController::tick() {
   if (!due_.empty()) {
     advanced_.assign(due_.size(), 0);
     deferred_.assign(due_.size(), 0);
-    seconds_.assign(due_.size(), 0.0);
     // [this, &gate] fits std::function's inline buffer: no allocation.
-    engine_.for_each_timed(
+    engine_.for_each(
         due_.size(),
         [this, &gate](std::size_t i) {
           const bool first =
@@ -108,8 +107,7 @@ TickReport FleetController::tick() {
             return;
           }
           advanced_[i] = tenants_[due_[i]]->step(store_);
-        },
-        seconds_);
+        });
     for (std::size_t i = 0; i < due_.size(); ++i) {
       if (deferred_[i] != 0) {
         ++report.deferred;

@@ -146,7 +146,6 @@ class FleetController {
   std::vector<std::size_t> due_;
   std::vector<int> advanced_;
   std::vector<std::uint8_t> deferred_;
-  std::vector<double> seconds_;
 
   mutable std::mutex mutex_;  // guards the event log + counters below
   // mutable: events() drains tenant buffers into the log on read.

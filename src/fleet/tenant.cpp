@@ -1,6 +1,8 @@
 #include "fleet/tenant.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -41,6 +43,10 @@ TenantConfig validated(TenantConfig config) {
   }
   if (config.queue_capacity < 1) {
     throw std::invalid_argument("TenantConfig: queue_capacity must be >= 1");
+  }
+  if (config.queue_capacity <= static_cast<std::size_t>(config.window)) {
+    throw std::invalid_argument(
+        "TenantConfig: queue_capacity must exceed window");
   }
   if (config.checkpoint_every < 1) {
     throw std::invalid_argument("TenantConfig: checkpoint_every must be >= 1");
@@ -224,19 +230,29 @@ bool TenantSession::offer_run(double lambda, int count) {
                   "queue full: rejected run of " + std::to_string(count));
       return false;
     }
+    // Drop from the oldest undecided slot on, sparing the lookahead the
+    // last decided slot saw: a recovery replays that slot against it.
+    const std::size_t first =
+        decided_ == 0 ? 0
+                      : decided_ + std::min(static_cast<std::size_t>(
+                                                config_.window),
+                                            log_.size() - decided_);
+    std::size_t last = first;
     std::uint64_t dropped = 0;
-    while (!queue_.empty() &&
+    while (last < log_.size() &&
            queued_slots_ + slots > config_.queue_capacity) {
-      dropped += static_cast<std::uint64_t>(queue_.front().count);
-      queued_slots_ -= static_cast<std::size_t>(queue_.front().count);
-      queue_.pop_front();
+      dropped += static_cast<std::uint64_t>(log_[last].count);
+      queued_slots_ -= static_cast<std::size_t>(log_[last].count);
+      ++last;
     }
+    log_.erase(log_.begin() + static_cast<std::ptrdiff_t>(first),
+               log_.begin() + static_cast<std::ptrdiff_t>(last));
     stats_.overflow_drops += dropped;
     emit_locked(FleetEventKind::kOverflow,
                 "queue full: dropped " + std::to_string(dropped) +
                     " oldest slots");
     if (queued_slots_ + slots > config_.queue_capacity) {
-      // The run alone exceeds capacity.
+      // The run does not fit beside the slots that must stay.
       stats_.rejected += slots;
       return false;
     }
@@ -254,12 +270,9 @@ bool TenantSession::offer_run(double lambda, int count) {
   if (config_.window > 0 && count > 1) {
     // Windowed lookahead is slot-granular: expand the run, sharing the one
     // CostPtr and form across its slots.
-    for (int i = 0; i < count; ++i) {
-      queue_.push_back(QueueEntry{lambda, 1, cost, form});
-    }
+    for (int i = 0; i < count; ++i) log_.push_back(LogEntry{1, cost, form});
   } else {
-    queue_.push_back(
-        QueueEntry{lambda, count, std::move(cost), std::move(form)});
+    log_.push_back(LogEntry{count, std::move(cost), std::move(form)});
   }
   queued_slots_ += static_cast<std::size_t>(count);
   stats_.offered += slots;
@@ -277,7 +290,9 @@ bool TenantSession::due() const {
 }
 
 bool TenantSession::due_locked() const {
-  if (state_ == TenantState::kQuarantined || queue_.empty()) return false;
+  if (state_ == TenantState::kQuarantined || decided_ == log_.size()) {
+    return false;
+  }
   if (config_.window == 0) return true;
   return queued_slots_ > static_cast<std::size_t>(config_.window) ||
          finished_;
@@ -285,7 +300,7 @@ bool TenantSession::due_locked() const {
 
 bool TenantSession::drained() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.empty() || state_ == TenantState::kQuarantined;
+  return decided_ == log_.size() || state_ == TenantState::kQuarantined;
 }
 
 int TenantSession::step(rs::core::CheckpointStore& store) {
@@ -323,7 +338,7 @@ int TenantSession::step(rs::core::CheckpointStore& store) {
           !stats_.degraded_to_dense && lcp_.degrade_to_dense()) {
         // Dense rung taken: checkpoint immediately so every future
         // recovery restores a snapshot whose tracker mode matches the mode
-        // the replay-buffer slots were (and will be) decided in.
+        // the replayed slots were (and will be) decided in.
         stats_.degraded_to_dense = true;
         emit_locked(FleetEventKind::kDegradedToDense,
                     "after " + std::to_string(fail_streak_) +
@@ -343,11 +358,11 @@ int TenantSession::decide_front_locked() {
   if (rs::util::fault_fires(rs::util::FaultSite::kFleetTick, index)) {
     throw rs::engine::BackendFailureError("injected fault: fleet tick");
   }
-  gather_lookahead_locked(replay_.size(), 1);
-  return session_decide_locked(queue_.front());
+  gather_lookahead_locked(decided_ + 1);
+  return session_decide_locked(log_[decided_]);
 }
 
-int TenantSession::session_decide_locked(const QueueEntry& entry) {
+int TenantSession::session_decide_locked(const LogEntry& entry) {
   const std::size_t need = static_cast<std::size_t>(
       entry.count > 1 ? entry.count : 1);
   if (decisions_scratch_.size() < need) {
@@ -389,8 +404,7 @@ void TenantSession::commit_front_locked(int advanced,
     lower_.push_back(lower_scratch_[j]);
     upper_.push_back(upper_scratch_[j]);
   }
-  replay_.push_back(std::move(queue_.front()));
-  queue_.pop_front();
+  ++decided_;
   queued_slots_ -= static_cast<std::size_t>(advanced);
   stats_.steps += static_cast<std::uint64_t>(advanced);
   slots_since_checkpoint_ += advanced;
@@ -406,7 +420,9 @@ void TenantSession::commit_front_locked(int advanced,
 
 void TenantSession::checkpoint_locked(rs::core::CheckpointStore& store) {
   store.put(store_key(), snapshot_bytes_locked());
-  replay_.clear();
+  log_.erase(log_.begin(),
+             log_.begin() + static_cast<std::ptrdiff_t>(decided_));
+  decided_ = 0;
   slots_since_checkpoint_ = 0;
   ++stats_.checkpoints;
   emit_locked(FleetEventKind::kCheckpointed,
@@ -430,9 +446,9 @@ void TenantSession::recover_locked(rs::core::CheckpointStore& store,
   // are bit-identical by the checkpoint round-trip contract).
   std::size_t pos = schedule_.size() -
                     static_cast<std::size_t>(slots_since_checkpoint_);
-  for (std::size_t i = 0; i < replay_.size(); ++i) {
-    gather_lookahead_locked(i + 1, 0);
-    const int n = session_decide_locked(replay_[i]);
+  for (std::size_t i = 0; i < decided_; ++i) {
+    gather_lookahead_locked(i + 1);
+    const int n = session_decide_locked(log_[i]);
     for (int k = 0; k < n; ++k) {
       const std::size_t j = static_cast<std::size_t>(k);
       schedule_[pos + j] = decisions_scratch_[j];
@@ -451,22 +467,14 @@ void TenantSession::reset_session_locked() {
   lcp_.reset(rs::online::OnlineContext{config_.m, config_.beta});
 }
 
-void TenantSession::gather_lookahead_locked(std::size_t replay_from,
-                                            std::size_t queue_from) {
-  const std::size_t w = static_cast<std::size_t>(config_.window);
+void TenantSession::gather_lookahead_locked(std::size_t from) {
+  const std::size_t end = std::min(
+      from + static_cast<std::size_t>(config_.window), log_.size());
   lookahead_costs_.clear();
   lookahead_forms_.clear();
-  const auto take = [&](const QueueEntry& e) {
-    lookahead_costs_.push_back(e.cost);
-    lookahead_forms_.push_back(e.form.get());
-  };
-  for (std::size_t j = replay_from;
-       j < replay_.size() && lookahead_costs_.size() < w; ++j) {
-    take(replay_[j]);
-  }
-  for (std::size_t q = queue_from;
-       q < queue_.size() && lookahead_costs_.size() < w; ++q) {
-    take(queue_[q]);
+  for (std::size_t j = from; j < end; ++j) {
+    lookahead_costs_.push_back(log_[j].cost);
+    lookahead_forms_.push_back(log_[j].form.get());
   }
 }
 
@@ -587,9 +595,9 @@ void TenantSession::quarantine_locked(std::string reason) {
   stats_.quarantine_reason = reason;
   emit_locked(FleetEventKind::kQuarantined, std::move(reason));
   // Free what will never be decided; future offers are rejected outright.
-  queue_.clear();
+  log_.clear();
+  decided_ = 0;
   queued_slots_ = 0;
-  replay_.clear();
   RS_AUDIT(audit_invariants_locked("TenantSession::quarantine_locked"));
 }
 
@@ -611,7 +619,7 @@ void TenantSession::audit_invariants_locked(const char* site) const {
                  "tenant-quarantine-reason", site,
                  "quarantine state and recorded reason disagree");
   if (quarantined) {
-    audit::require(queue_.empty() && queued_slots_ == 0 && replay_.empty(),
+    audit::require(log_.empty() && decided_ == 0 && queued_slots_ == 0,
                    "tenant-quarantine-drained", site,
                    "a terminal tenant must hold no queued or replayable work");
   }

@@ -1,9 +1,10 @@
 // One fleet tenant: a long-lived LCP serving session wrapped in a fault
 // domain (DESIGN.md §11).
 //
-// A tenant owns one Lcp session (its window w = TenantConfig::window), a
-// bounded ingest queue of λ samples, and a replay buffer of everything
-// decided since its last checkpoint.  The contract robustness rests on:
+// A tenant owns one Lcp session (its window w = TenantConfig::window) and
+// one stream log: every sample since its last checkpoint, decided ones
+// first (the gap a recovery replays), then the bounded ingest queue.  The
+// contract robustness rests on:
 //
 //   * input hardening — offer() validates the λ sample (NaN / inf /
 //     negative) and probes the built slot cost (NaN / throwing) before
@@ -12,9 +13,10 @@
 //   * checkpoint-backed self-healing — step() snapshots into the
 //     CheckpointStore every `checkpoint_every` slots; on a backend failure
 //     (injected via FaultSite::kFleetTick or real) it restores the latest
-//     good checkpoint, replays the gap from the replay buffer, and retries
-//     — decisions and corridor bounds stay bit-identical to an undisturbed
-//     run (the chaos drill pins this);
+//     good checkpoint, replays the decided part of the log, and retries —
+//     every replayed slot sees the lookahead it first saw, so decisions and
+//     corridor bounds stay bit-identical to an undisturbed run (the chaos
+//     drill pins this);
 //   * a degradation ladder — after `degrade_after` consecutive failed
 //     attempts a kAuto/kDense session, of any window, is pinned to the
 //     dense streaming backend (one typed kDegradedToDense event + an
@@ -29,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -74,7 +75,9 @@ void audit_tenant_transition(TenantState from, TenantState to,
 /// What a full ingest queue does to the *next* sample.
 enum class OverflowPolicy {
   kRejectNewest,  // offer() returns false — backpressure to the producer
-  kDropOldest,    // evict the oldest undecided samples to make room
+  // Evict the oldest undecided samples to make room, sparing the lookahead
+  // the last decided slot saw (a recovery replays that slot against it).
+  kDropOldest,
 };
 
 enum class FleetEventKind {
@@ -138,11 +141,13 @@ struct TenantConfig {
   /// λ → slot cost; required.  May throw or return nullptr for bad samples
   /// — both quarantine the tenant with a reason instead of escaping.
   std::function<rs::core::CostPtr(double)> cost_of;
-  /// Ingest bound, in slots (expanded runs count per slot).
+  /// Ingest bound, in slots (expanded runs count per slot); must exceed
+  /// `window`, or a windowed tenant could never hold a slot plus its
+  /// lookahead.
   std::size_t queue_capacity = 1024;
   OverflowPolicy overflow = OverflowPolicy::kRejectNewest;
-  /// Slots between automatic snapshots (>= 1); also bounds the replay
-  /// buffer a recovery replays.
+  /// Slots between automatic snapshots (>= 1); also bounds the decided
+  /// part of the stream log a recovery replays.
   int checkpoint_every = 16;
   /// Consecutive failed attempts on one slot before the dense rung (>= 1).
   int degrade_after = 2;
@@ -296,15 +301,14 @@ class TenantSession {
 
  private:
   friend struct TenantSessionTestAccess;
-  struct QueueEntry {
-    double lambda = 0.0;
+  struct LogEntry {
     int count = 0;
     rs::core::CostPtr cost;
     // Cached convex-PWL form from the shared fleet cache (nullptr when the
-    // cache is absent/full or the cost has no compact form).  Replay
-    // entries carry the same pointer, so a recovery consumes the identical
-    // input and stays bit-identical.  Windowed tenants pass the forms of
-    // the revealed slot and its lookahead to Lcp::decide as they are.
+    // cache is absent/full or the cost has no compact form).  A replay
+    // reads the same entry, so a recovery consumes the identical input and
+    // stays bit-identical.  Windowed tenants pass the forms of the revealed
+    // slot and its lookahead to Lcp::decide as they are.
     std::shared_ptr<const rs::core::ConvexPwl> form;
   };
 
@@ -322,15 +326,13 @@ class TenantSession {
   void checkpoint_locked(rs::core::CheckpointStore& store);
   void recover_locked(rs::core::CheckpointStore& store,
                       const std::string& reason);
-  // Fills lookahead_costs_/lookahead_forms_ with the next `window` slots
-  // after the one being decided: replay_[replay_from..], then
-  // queue_[queue_from..].
-  void gather_lookahead_locked(std::size_t replay_from,
-                               std::size_t queue_from);
+  // Fills lookahead_costs_/lookahead_forms_ with log_[from, from + window),
+  // cut at the end of the log.
+  void gather_lookahead_locked(std::size_t from);
   std::vector<std::uint8_t> snapshot_bytes_locked() const;
   void reset_session_locked();
   // Decides `entry`; windowed sessions read the gathered lookahead.
-  int session_decide_locked(const QueueEntry& entry);
+  int session_decide_locked(const LogEntry& entry);
 
   mutable std::mutex mutex_;
   TenantConfig config_;
@@ -339,8 +341,14 @@ class TenantSession {
   // The serving session, built from config_.backend and config_.window.
   rs::online::Lcp lcp_;
 
-  std::deque<QueueEntry> queue_;
-  std::size_t queued_slots_ = 0;
+  // The stream since the last checkpoint: log_[0, decided_) is decided —
+  // the gap a recovery replays — and log_[decided_, end) is the ingest
+  // queue.  A commit advances decided_; a checkpoint erases the decided
+  // prefix, so the vector keeps its capacity and a warm tenant's ingest
+  // allocates nothing.
+  std::vector<LogEntry> log_;
+  std::size_t decided_ = 0;
+  std::size_t queued_slots_ = 0;  // slots in log_[decided_, end)
   bool finished_ = false;
 
   TenantState state_ = TenantState::kHealthy;
@@ -353,11 +361,7 @@ class TenantSession {
   std::vector<int> lower_;
   std::vector<int> upper_;
 
-  // Entries committed since the last checkpoint, in order — the gap a
-  // recovery replays.  Bounded by the checkpoint cadence; a vector, so the
-  // per-checkpoint clear() keeps its capacity.
-  std::vector<QueueEntry> replay_;
-  int slots_since_checkpoint_ = 0;
+  int slots_since_checkpoint_ = 0;  // slots in log_[0, decided_)
 
   // Per-slot decision scratch (reused across steps).
   std::vector<int> decisions_scratch_;

@@ -4,15 +4,8 @@
 #include <utility>
 
 #include "offline/backward_solver.hpp"
-#include "offline/dp_solver.hpp"
 
 namespace rs::offline {
-
-DpDeltaSession DpSolver::begin_delta(const rs::core::Problem& p) const {
-  return DpDeltaSession(p, backend_ == Backend::kDense
-                               ? DpDeltaSession::Backend::kDense
-                               : DpDeltaSession::Backend::kAuto);
-}
 
 namespace {
 

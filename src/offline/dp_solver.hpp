@@ -31,8 +31,6 @@
 
 namespace rs::offline {
 
-class DpDeltaSession;
-
 class DpSolver final : public OfflineSolver {
  public:
   enum class Backend { kDense, kConvexAuto };
@@ -65,14 +63,6 @@ class DpSolver final : public OfflineSolver {
   double solve_cost(const rs::core::PwlProblem& pwl) const;
 
   Backend backend() const noexcept { return backend_; }
-
-  /// Solves `p` and keeps the solution live for incremental re-solves:
-  /// edited slots are repaired in place via the work-function rewind buffer
-  /// (offline/delta_session.hpp) instead of replaying the horizon.  The
-  /// session labels follow this solver's backend (kConvexAuto → PWL with
-  /// dense fallback, kDense → dense label rows); defined in
-  /// delta_session.cpp.
-  DpDeltaSession begin_delta(const rs::core::Problem& p) const;
 
   std::string name() const override { return "dp"; }
 

@@ -344,10 +344,12 @@ TEST_F(FleetAllocations, NonCheckpointTicksAreAllocationFree) {
   std::uint64_t counted_ticks = 0;
   std::uint64_t allocations = 0;
   for (int k = kWarmTicks; k < kTicks; ++k) {
-    offer_all();
     const std::uint64_t checkpoints = fleet_->stats().checkpoints;
     rs::fleet::TickReport report;
-    const std::uint64_t n = allocations_in([&] { report = fleet_->tick(); });
+    const std::uint64_t n = allocations_in([&] {
+      offer_all();
+      report = fleet_->tick();
+    });
     ASSERT_EQ(report.advanced_slots, static_cast<std::size_t>(kTenants));
     if (fleet_->stats().checkpoints != checkpoints) continue;
     ++counted_ticks;

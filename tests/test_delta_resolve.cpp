@@ -607,8 +607,8 @@ TEST(EngineDelta, ProbesMatchFromScratchAndAreOrderIndependent) {
     jobs.push_back(std::move(job));
   }
 
-  rs::engine::SolverEngine inline_engine(rs::engine::SolverEngine::Options{
-      .threads = 1, .share_dense = true});
+  rs::engine::SolverEngine inline_engine(
+      rs::engine::SolverEngine::Options{.threads = 1});
   const auto inline_result = inline_engine.run(jobs);
   ASSERT_EQ(inline_result.outcomes.size(), jobs.size());
   EXPECT_GT(inline_result.stats.slots_repaired, 0u);
@@ -625,8 +625,8 @@ TEST(EngineDelta, ProbesMatchFromScratchAndAreOrderIndependent) {
 
   // Threaded batches share one session per instance under a mutex; probes
   // restore it bitwise, so outcomes are independent of probe order.
-  rs::engine::SolverEngine threaded(rs::engine::SolverEngine::Options{
-      .threads = 4, .share_dense = true});
+  rs::engine::SolverEngine threaded(
+      rs::engine::SolverEngine::Options{.threads = 4});
   const auto threaded_result = threaded.run(jobs);
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     EXPECT_EQ(threaded_result.outcomes[k].cost, inline_result.outcomes[k].cost);

@@ -127,6 +127,12 @@ TEST(FleetTenant, ValidatesConfig) {
     c.queue_capacity = 0;
     expect_bad(c);
   }
+  {  // A windowed tenant must fit a slot plus its lookahead.
+    TenantConfig c = basic_config("t", 4);
+    c.window = 4;
+    c.queue_capacity = 4;
+    expect_bad(c);
+  }
   {
     TenantConfig c = basic_config("t", 4);
     c.checkpoint_every = 0;
@@ -286,6 +292,51 @@ TEST(FleetTenant, OverflowPoliciesBoundTheQueue) {
     // everything else.
     EXPECT_FALSE(session.offer_run(1.0, 5));
   }
+}
+
+// A full kDropOldest queue evicts undecided samples, but never the
+// lookahead the last decided slot saw: a recovery replays that slot, and
+// against other predictions it would decide otherwise.
+TEST(FleetTenant, DropOldestSparesTheLookaheadARecoveryReplays) {
+  const std::vector<double> trace = integer_trace(8, 120, 91);
+  const auto run = [&](bool faults) {
+    TenantConfig config = basic_config("drop-windowed", 8);
+    config.window = 2;
+    config.queue_capacity = 4;
+    config.overflow = OverflowPolicy::kDropOldest;
+    config.checkpoint_every = 1000;  // every recovery replays from slot 1
+    auto session = std::make_unique<TenantSession>(config, 0);
+    CheckpointStore store;
+    // Two offers per step, so the queue overflows on every round once
+    // full; tick faults only, so ingest stays clean.
+    for (std::size_t i = 0; i + 1 < trace.size(); i += 2) {
+      EXPECT_TRUE(session->offer(trace[i]));
+      EXPECT_TRUE(session->offer(trace[i + 1]));
+      if (faults) {
+        const ScopedFaultInjection guard(rs::scenario::make_injector(
+            FaultPlan{base_seed(), 3, PoisonKind::kNaN}));
+        session->step(store);
+      } else {
+        session->step(store);
+      }
+    }
+    session->finish_stream();
+    while (session->due()) session->step(store);
+    return session;
+  };
+  const std::unique_ptr<TenantSession> clean = run(false);
+  const std::unique_ptr<TenantSession> disturbed = run(true);
+  SCOPED_TRACE("fault base seed " + std::to_string(base_seed()));
+
+  ASSERT_NE(disturbed->state(), TenantState::kQuarantined)
+      << disturbed->stats().quarantine_reason;
+  EXPECT_GT(disturbed->stats().recoveries, 0u);
+  EXPECT_GT(clean->stats().overflow_drops, 0u);
+  EXPECT_EQ(disturbed->stats().overflow_drops, clean->stats().overflow_drops);
+  EXPECT_EQ(disturbed->steps(), clean->steps());
+  EXPECT_EQ(disturbed->schedule(), clean->schedule());
+  EXPECT_EQ(disturbed->lower_bounds(), clean->lower_bounds());
+  EXPECT_EQ(disturbed->upper_bounds(), clean->upper_bounds());
 }
 
 // ---------------------------------------------------------------------------
